@@ -72,16 +72,18 @@ int main(int argc, char** argv) {
   for (NodeId id = 10; id <= 12; ++id) devices[id]->subscribe(ic_events);
   for (NodeId id = 13; id <= 14; ++id) devices[id]->subscribe(food);
 
-  std::vector<int> received(15, 0);
-  for (NodeId id = 0; id < 15; ++id) {
-    devices[id]->set_delivery_callback(
-        [&received, id](const core::Event& event, SimTime at) {
-          ++received[id];
-          std::printf("  [%6.1fs] device %2u <- %-24s \"%s\"\n", at.seconds(),
-                      id, event.topic.to_string().c_str(),
-                      event.payload.c_str());
-        });
-  }
+  // Every device reports its deliveries to one run observer.
+  struct DeliveryLog final : core::RunObserver {
+    std::vector<int> received = std::vector<int>(15, 0);
+    void on_delivery(NodeId id, const core::Event& event,
+                     SimTime at) override {
+      ++received[id];
+      std::printf("  [%6.1fs] device %2u <- %-24s \"%s\"\n", at.seconds(), id,
+                  event.topic.to_string().c_str(), event.payload.c_str());
+    }
+  } log;
+  std::vector<int>& received = log.received;
+  for (NodeId id = 0; id < 15; ++id) devices[id]->set_observer(&log);
 
   const auto publish = [&](NodeId who, const topics::Topic& topic,
                            const char* text, SimDuration validity) {

@@ -105,6 +105,17 @@ int main(int argc, char** argv) {
       topics::Topic::parse(".parking.center"),
   };
 
+  // Every car reports what it learns to one run observer.
+  struct DeliveryLog final : core::RunObserver {
+    void on_delivery(NodeId id, const core::Event& event,
+                     SimTime at) override {
+      const double age = (at - event.published_at).seconds();
+      std::printf("  [%7.1fs] car %2u learned \"%s\" (%s, %4.1fs old)\n",
+                  at.seconds(), id, event.payload.c_str(),
+                  event.topic.to_string().c_str(), age);
+    }
+  } log;
+
   // Drivers subscribe: a third wants a specific car park, a third wants any.
   Rng interests = simulator.stream("interests");
   for (NodeId id = kGates; id < kGates + kDrivers; ++id) {
@@ -114,13 +125,7 @@ int main(int argc, char** argv) {
     } else if (dice == 1) {
       cars[id]->subscribe(parks);  // any car park (super-topic)
     }  // else: not shopping today — will only overhear (parasites)
-    cars[id]->set_delivery_callback([id](const core::Event& event,
-                                         SimTime at) {
-      const double age = (at - event.published_at).seconds();
-      std::printf("  [%7.1fs] car %2u learned \"%s\" (%s, %4.1fs old)\n",
-                  at.seconds(), id, event.payload.c_str(),
-                  event.topic.to_string().c_str(), age);
-    });
+    cars[id]->set_observer(&log);
   }
 
   // Car parks publish a freed spot roughly every 30 s (gate nodes stand in

@@ -49,16 +49,19 @@ int main() {
   p2.subscribe(demo);
   p3.subscribe(conf);
 
-  const auto announce = [](const char* who) {
-    return [who](const core::Event& event, SimTime at) {
-      std::printf("  [%8.3fs] %s delivered event %u/%u on %s: \"%s\"\n",
-                  at.seconds(), who, event.id.publisher, event.id.seq,
+  // Nodes report each delivery to their run observer; process pN is node
+  // N - 1.
+  struct Announcer final : core::RunObserver {
+    void on_delivery(NodeId node, const core::Event& event,
+                     SimTime at) override {
+      std::printf("  [%8.3fs] p%u delivered event %u/%u on %s: \"%s\"\n",
+                  at.seconds(), node + 1, event.id.publisher, event.id.seq,
                   event.topic.to_string().c_str(), event.payload.c_str());
-    };
-  };
-  p1.set_delivery_callback(announce("p1"));
-  p2.set_delivery_callback(announce("p2"));
-  p3.set_delivery_callback(announce("p3"));
+    }
+  } announcer;
+  p1.set_observer(&announcer);
+  p2.set_observer(&announcer);
+  p3.set_observer(&announcer);
 
   // Initial knowledge: p1 holds one event on .conf.mw, p2 holds two on
   // .conf.mw.demo (published while everyone is out of range).

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
-#include <tuple>
 
 #include "mobility/static_mobility.hpp"
 #include "protocol/registry.hpp"
@@ -256,9 +255,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   telemetry::RunTelemetry* const telemetry = config.telemetry;
   const bool bounded = telemetry != nullptr && telemetry->bounded();
-  // A bounded hub never materializes the per-event records the trace
-  // assembly reads from; the combination cannot work.
-  FRUGAL_EXPECT(!(bounded && config.trace != nullptr));
 
   // The outermost profile scope: everything not claimed by an inner scope
   // (scheduler tasks, medium work, telemetry folds, collection) lands here.
@@ -274,29 +270,22 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // Optional radio energy accounting (energy/energy.hpp): meter the radio's
   // power states off the medium's airtime reports and, with a finite
   // battery, kill depleted nodes through the crash machinery. Unset runs
-  // the exact pre-energy code path — no listener, no extra events.
-  std::vector<trace::TraceRecord> lifecycle_records;
+  // the exact pre-energy code path — no observer, no extra events.
   std::unique_ptr<energy::EnergyModel> energy_model;
   std::unique_ptr<sim::PeriodicTask> battery_sampler;
   std::vector<std::unique_ptr<sim::PeriodicTask>> duty_tasks;
   if (config.energy.has_value()) {
     energy_model = std::make_unique<energy::EnergyModel>(config.node_count,
                                                          *config.energy);
-    medium.set_listener(energy_model.get());
     energy_model->set_depletion_callback([&](NodeId id, SimTime) {
       // The churn machinery is the kill switch: a dead radio neither sends
       // nor overhears. The node keeps its tables — they just stop
       // mattering. A radio that is already dark (churn blackout, or the
       // very crash whose accounting discovered this crossing) needs no
-      // flip and no second kNodeDown record; the recovery guard below
-      // keeps it dark forever. The exact crossing instant lives in
-      // NodeOutcome::depleted_at.
+      // flip; the recovery guard below keeps it dark forever. The exact
+      // crossing instant lives in NodeOutcome::depleted_at.
       if (!medium.is_up(id)) return;
       medium.set_up(id, false);
-      if (config.trace != nullptr) {
-        lifecycle_records.push_back(
-            {simulator.now(), trace::TraceKind::kNodeDown, id, {}, {}});
-      }
     });
     if (energy::any_finite_battery(*config.energy)) {
       // Sample batteries so a depleted radio goes dark within a bounded
@@ -336,18 +325,25 @@ RunResult run_experiment(const ExperimentConfig& config) {
     }
   }
 
-  // Telemetry observes the same radio-activity stream the energy model
-  // does; with both attached the tee forwards energy-first so accounting
-  // settles before observation reads it.
-  telemetry::RadioActivityTee radio_tee{nullptr, nullptr};
-  if (telemetry != nullptr) {
-    if (energy_model != nullptr) {
-      radio_tee = telemetry::RadioActivityTee{energy_model.get(), telemetry};
-      medium.set_listener(&radio_tee);
-    } else {
-      medium.set_listener(telemetry);
-    }
+  // Every observer of the run behind one ordered fan-out, handed to the
+  // medium and to every node. The energy model comes first: its before_tx
+  // may power a depleted sender down before anyone sees the frame, and its
+  // accounts settle before the hub reads them. Then the hub, the tracer and
+  // the trace recorder; end_run goes in reverse, so the tracer's Perfetto
+  // flows land before the hub finalizes the trace. An empty list attaches
+  // nothing, leaving the hot paths observer-free.
+  telemetry::DisseminationTracer* const tracer = config.dissem_tracer;
+  std::vector<RunObserver*> attached;
+  for (RunObserver* candidate :
+       {static_cast<RunObserver*>(energy_model.get()),
+        static_cast<RunObserver*>(telemetry),
+        static_cast<RunObserver*>(tracer),
+        static_cast<RunObserver*>(config.trace)}) {
+    if (candidate != nullptr) attached.push_back(candidate);
   }
+  ObserverFanOut observers{std::move(attached)};
+  RunObserver* const observer = observers.empty() ? nullptr : &observers;
+  medium.set_observer(observer);
 
   // Draw subscribers: a seeded shuffle, first k nodes subscribe.
   Rng workload = simulator.stream("workload");
@@ -441,7 +437,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
       [&simulator](std::string_view name, std::uint64_t index) {
         return simulator.stream(name, index);
       }};
-  telemetry::DisseminationTracer* tracer = config.dissem_tracer;
   std::vector<std::unique_ptr<ProtocolNode>> nodes;
   nodes.reserve(config.node_count);
   for (NodeId id = 0; id < config.node_count; ++id) {
@@ -450,29 +445,16 @@ RunResult run_experiment(const ExperimentConfig& config) {
     for (const topics::Topic& topic : node_subscriptions[id].topics()) {
       nodes.back()->subscribe(topic);
     }
-    if (telemetry != nullptr || tracer != nullptr) {
-      ProtocolNode* node = nodes.back().get();
-      node->set_delivery_callback(
-          [telemetry, tracer, id](const Event& event, SimTime at) {
-            if (telemetry != nullptr) telemetry->on_delivery(id, event, at);
-            if (tracer != nullptr) tracer->on_delivery(id, event, at);
-          });
-      node->set_gc_callback(
-          [telemetry, tracer, id](EventId victim, SimTime at) {
-            if (telemetry != nullptr) telemetry->on_gc_eviction(id, at);
-            if (tracer != nullptr) tracer->on_gc_eviction(id, victim, at);
-          });
-      if (tracer != nullptr) node->set_phase_annotator(tracer);
-      if (telemetry != nullptr && bounded) {
-        // Without per-event records nobody reads delivery times post-run;
-        // let nodes drop records of long-expired events so the delivery
-        // maps stay bounded by the validity window. The slack dwarfs any
-        // airtime + defer chain, keeping the duplicate checks exact.
-        node->enable_delivery_history_pruning(SimDuration::from_seconds(30.0));
-      }
+    nodes.back()->set_observer(observer);
+    if (bounded) {
+      // Without per-event records nobody reads delivery times post-run;
+      // let nodes drop records of long-expired events so the delivery
+      // maps stay bounded by the validity window. The slack dwarfs any
+      // airtime + defer chain, keeping the duplicate checks exact.
+      nodes.back()->enable_delivery_history_pruning(
+          SimDuration::from_seconds(30.0));
     }
   }
-  if (tracer != nullptr) medium.set_frame_listener(tracer);
 
   // The publisher set: the configured (or default-drawn) first publisher,
   // then further processes in the seeded shuffle order. Events round-robin
@@ -512,31 +494,22 @@ RunResult run_experiment(const ExperimentConfig& config) {
     const std::size_t slot = i % publishers.size();
     const NodeId publishing_node = publishers[slot];
     const std::uint32_t seq = next_seq_of[slot]++;
+    // The id and publish time publish() will assign, so the observers see
+    // the final event.
     Event event;
+    event.id = EventId{publishing_node, seq};
     event.topic = topic_pool[event_topic_index[i]];
+    event.published_at = simulator.now();
     event.validity = config.event_validity;
     event.wire_bytes = config.event_bytes;
-    if (telemetry != nullptr) {
-      // Before publish(): the node self-delivers synchronously, and the hub
-      // must know the event by then.
-      telemetry->on_publish(i, EventId{publishing_node, seq}, simulator.now(),
-                            event_topic_index[i]);
-    }
-    if (tracer != nullptr) {
-      // Same ordering constraint: the publisher's synchronous self-delivery
-      // must find the event already live in the tracer.
-      Event traced = event;
-      traced.id = EventId{publishing_node, seq};
-      traced.published_at = simulator.now();
-      tracer->on_publish(traced, simulator.now());
-    }
-    nodes[publishing_node]->publish(event);
-    // publish() assigned the id; record it for result extraction.
+    // Before publish(): the node self-delivers synchronously, and the
+    // observers must know the event by then.
+    observers.on_publish(i, event, event_topic_index[i]);
     if (!bounded) {
-      records[i] = PublishedEventRecord{EventId{publishing_node, seq},
-                                        simulator.now(), config.event_validity,
-                                        topic_pool[event_topic_index[i]]};
+      records[i] = PublishedEventRecord{event.id, event.published_at,
+                                        event.validity, event.topic};
     }
+    nodes[publishing_node]->publish(std::move(event));
   };
   simulator.scheduler().schedule_at_with_sequence(
       SimTime::zero() + config.warmup, seq_base,
@@ -574,59 +547,45 @@ RunResult run_experiment(const ExperimentConfig& config) {
       config.publish_spacing * static_cast<std::int64_t>(config.event_count - 1);
   const SimTime run_end = last_publish + config.event_validity;
 
-  if (telemetry != nullptr) {
-    telemetry::RunBinding binding;
-    binding.node_count = config.node_count;
-    binding.event_count = config.event_count;
-    binding.topic_count = topic_pool.size();
-    binding.publishers = publishers;
-    binding.run_validity = config.event_validity;
-    binding.run_end = run_end;
-    // These borrow the experiment-local tables; end_run() runs before the
-    // collection phase moves them into the result.
-    binding.node_eligible = [&subscribed, &node_subscriptions](
-                                NodeId id, const Event& event) {
-      return subscribed[id] && node_subscriptions[id].covers(event.topic);
-    };
-    binding.eligible_count = [&subscribed, &node_subscriptions,
-                              &topic_pool](std::uint32_t topic_index) {
-      std::uint32_t count = 0;
-      for (NodeId id = 0; id < node_subscriptions.size(); ++id) {
-        if (subscribed[id] &&
-            node_subscriptions[id].covers(topic_pool[topic_index])) {
-          ++count;
-        }
+  RunBinding binding;
+  binding.node_count = config.node_count;
+  binding.event_count = config.event_count;
+  binding.topic_count = topic_pool.size();
+  binding.publishers = publishers;
+  binding.run_validity = config.event_validity;
+  binding.run_end = run_end;
+  // These borrow the experiment-local tables; end_run() runs before the
+  // collection phase moves them into the result.
+  binding.node_eligible = [&subscribed, &node_subscriptions](
+                              NodeId id, const Event& event) {
+    return subscribed[id] && node_subscriptions[id].covers(event.topic);
+  };
+  binding.eligible_count = [&subscribed, &node_subscriptions,
+                            &topic_pool](std::uint32_t topic_index) {
+    std::uint32_t count = 0;
+    for (NodeId id = 0; id < node_subscriptions.size(); ++id) {
+      if (subscribed[id] &&
+          node_subscriptions[id].covers(topic_pool[topic_index])) {
+        ++count;
       }
-      return count;
-    };
-    if (energy_model != nullptr) {
-      binding.total_joules_at = [model = energy_model.get()](SimTime t) {
-        double total = 0.0;
-        for (NodeId id = 0; id < model->node_count(); ++id) {
-          total += model->spent_j_at(id, t);
-        }
-        return total;
-      };
     }
-    binding.profiler = config.profiler;
-    telemetry->begin_run(std::move(binding));
+    return count;
+  };
+  if (energy_model != nullptr) {
+    binding.total_joules_at = [model = energy_model.get()](SimTime t) {
+      double total = 0.0;
+      for (NodeId id = 0; id < model->node_count(); ++id) {
+        total += model->spent_j_at(id, t);
+      }
+      return total;
+    };
   }
-
-  if (tracer != nullptr) {
-    telemetry::DisseminationTracer::Binding binding;
-    binding.node_count = config.node_count;
-    // Borrows the same experiment-local tables as the hub's binding;
-    // tracer->end_run() likewise runs before collection moves them.
-    binding.node_eligible = [&subscribed, &node_subscriptions](
-                                NodeId id, const Event& event) {
-      return subscribed[id] && node_subscriptions[id].covers(event.topic);
-    };
-    tracer->begin_run(std::move(binding));
-    if (telemetry != nullptr) {
-      // Stitch flow events onto the hub's Perfetto tracks (null when the
-      // hub was not asked for a Perfetto artifact — flows simply off).
-      tracer->set_perfetto(telemetry->perfetto_writer());
-    }
+  binding.profiler = config.profiler;
+  observers.begin_run(binding);
+  if (tracer != nullptr && telemetry != nullptr) {
+    // Stitch flow events onto the hub's Perfetto tracks (null when the hub
+    // was not asked for a Perfetto artifact — flows simply off).
+    tracer->set_perfetto(telemetry->perfetto_writer());
   }
 
   // Churn: pre-generate each node's crash/recovery timeline (Poisson crash
@@ -647,29 +606,19 @@ RunResult run_experiment(const ExperimentConfig& config) {
         const SimDuration down = SimDuration::from_seconds(
             rng.uniform(config.churn.downtime_min.seconds(),
                         config.churn.downtime_max.seconds()));
-        // Record the crash only if the flip happens: a node that has
-        // meanwhile died of depletion is already (and permanently) down.
-        // Without an energy model the radio is always up here — the
-        // per-node timeline never overlaps its own downtimes.
-        simulator.scheduler().schedule_at(t, [&, id, down_at = t] {
-          if (!medium.is_up(id)) return;
-          medium.set_up(id, false);
-          if (config.trace != nullptr) {
-            lifecycle_records.push_back(
-                {down_at, trace::TraceKind::kNodeDown, id, {}, {}});
-          }
+        // A node that has meanwhile died of depletion is already (and
+        // permanently) down. Without an energy model the radio is always
+        // up here — the per-node timeline never overlaps its own downtimes.
+        simulator.scheduler().schedule_at(t, [&medium, id] {
+          if (medium.is_up(id)) medium.set_up(id, false);
         });
         if (t + down < run_end) {
           simulator.scheduler().schedule_at(
-              t + down, [&, model = energy_model.get(), id, up_at = t + down] {
+              t + down, [&medium, model = energy_model.get(), id] {
                 // A battery death is forever: churn recovery must not
-                // resurrect a depleted radio (and leaves no trace record).
+                // resurrect a depleted radio.
                 if (model != nullptr && model->depleted(id)) return;
                 medium.set_up(id, true);
-                if (config.trace != nullptr) {
-                  lifecycle_records.push_back(
-                      {up_at, trace::TraceKind::kNodeUp, id, {}, {}});
-                }
               });
         }
         t += down;
@@ -679,11 +628,9 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   simulator.run_until(run_end);
   if (energy_model != nullptr) energy_model->advance_all(run_end);
-  // Drain the hub before collection: its binding borrows tables the
-  // collection phase moves out. The tracer drains first — its retirement
-  // rows must not observe the hub's Perfetto writer after finalization.
-  if (tracer != nullptr) tracer->end_run(run_end);
-  if (telemetry != nullptr) telemetry->end_run(run_end);
+  // Drain the observers before collection: their binding borrows tables
+  // the collection phase moves out.
+  observers.end_run(run_end);
 
   // Collect results.
   sim::ProfileScope collect_profile{config.profiler, "experiment.collect"};
@@ -736,49 +683,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
   if (telemetry != nullptr) result.aggregates = telemetry->aggregates();
   if (tracer != nullptr) result.dissem = tracer->stats();
 
-  if (config.trace != nullptr) {
-    // Assemble the run's records in (time, kind, node) order. Deliveries are
-    // only observable post-run from the metrics maps, so everything is
-    // gathered here and sorted rather than recorded live.
-    std::vector<trace::TraceRecord> all = std::move(lifecycle_records);
-    for (const PublishedEventRecord& event : result.events) {
-      all.push_back({event.published_at, trace::TraceKind::kPublish,
-                     event.id.publisher, event.id, {}});
-    }
-    for (NodeId id = 0; id < config.node_count; ++id) {
-      const NodeOutcome& outcome = result.nodes[id];
-      for (std::size_t e = 0; e < result.events.size(); ++e) {
-        if (outcome.delivered_at[e].has_value()) {
-          all.push_back({*outcome.delivered_at[e], trace::TraceKind::kDeliver,
-                         id, result.events[e].id, {}});
-        }
-      }
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const trace::TraceRecord& a,
-                        const trace::TraceRecord& b) {
-                       return std::tie(a.at, a.kind, a.node) <
-                              std::tie(b.at, b.kind, b.node);
-                     });
-    for (const trace::TraceRecord& record : all) {
-      switch (record.kind) {
-        case trace::TraceKind::kPublish:
-          config.trace->publish(record.at, record.node, *record.event);
-          break;
-        case trace::TraceKind::kDeliver:
-          config.trace->deliver(record.at, record.node, *record.event);
-          break;
-        case trace::TraceKind::kNodeDown:
-          config.trace->node_down(record.at, record.node);
-          break;
-        case trace::TraceKind::kNodeUp:
-          config.trace->node_up(record.at, record.node);
-          break;
-        case trace::TraceKind::kPosition:
-          break;
-      }
-    }
-  }
   return result;
 }
 

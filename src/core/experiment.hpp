@@ -146,15 +146,19 @@ struct ExperimentConfig {
   /// extra scheduler events, byte-identical golden traces.
   std::optional<energy::EnergyConfig> energy;
   std::uint64_t seed = 1;
-  /// Optional: receives the run's publish/delivery/churn records, appended
-  /// in time order after the run completes. Not owned; must outlive the
-  /// run_experiment call. The golden-trace regression tests diff this.
+  // The observers below (all but the profiler) are core::RunObservers:
+  // run_experiment fans every run callback out to the attached ones in
+  // the order energy model, telemetry, dissem_tracer, trace.
+
+  /// Optional: records the run's publications, deliveries and radio up/down
+  /// flips live, in (time, kind, node, event index) order once the run
+  /// ends. Not owned; must outlive the run_experiment call. The
+  /// golden-trace regression tests diff this.
   trace::TraceRecorder* trace = nullptr;
   /// Optional streaming telemetry hub (telemetry/telemetry.hpp): consumes
   /// the publish/delivery/frame/energy/GC streams live and produces
   /// RunResult-equivalent aggregates plus time-series / Perfetto artifacts.
-  /// A bounded-memory hub elides the per-event records, so it is mutually
-  /// exclusive with `trace`. Not owned; must outlive the run.
+  /// Not owned; must outlive the run.
   telemetry::RunTelemetry* telemetry = nullptr;
   /// Optional simulator self-profiler: exclusive per-subsystem wall-clock
   /// and call counts (scheduler tasks, medium, telemetry, experiment

@@ -49,7 +49,9 @@ void FloodingNode::publish(Event event) {
   event.published_at = now;
   FRUGAL_EXPECT(event.validity.us() > 0);
   maybe_store(event);
-  if (subscriptions_.covers(event.topic)) deliver(event);
+  if (subscriptions_.covers(event.topic)) {
+    record_delivery(metrics_, event, now);
+  }
   // Initial broadcast; the ticker takes over.
   transmit_event(event, DisseminationPhase::kPublish);
 }
@@ -85,8 +87,8 @@ void FloodingNode::transmit_event(const Event& event,
     const std::uint32_t size = wire_size(bundle);
     const std::uint64_t frame_id = medium_.broadcast(
         id_, size, std::make_shared<const Message>(std::move(bundle)));
-    if (annotator_ != nullptr) {
-      annotator_->annotate(frame_id, id_, phase, {event.id});
+    if (observer_ != nullptr) {
+      observer_->annotate(frame_id, id_, phase, {event.id});
     }
   };
 
@@ -156,18 +158,8 @@ void FloodingNode::on_event_bundle(const EventBundle& bundle) {
     }
     if (!event.valid_at(now)) continue;
     maybe_store(event);
-    deliver(event);
+    record_delivery(metrics_, event, now);
   }
-}
-
-void FloodingNode::deliver(const Event& event) {
-  const SimTime now = scheduler_.now();
-  const bool fresh = metrics_.deliveries
-                         .try_emplace(event.id,
-                                      DeliveryRecord{now, event.expiry()})
-                         .inserted;
-  if (!fresh) return;
-  if (delivery_callback_) delivery_callback_(event, now);
 }
 
 void FloodingNode::on_frame(const net::Frame& frame) {

@@ -58,14 +58,8 @@ class FloodingNode final : public ProtocolNode {
   [[nodiscard]] const DeliveryMetrics& metrics() const override {
     return metrics_;
   }
-  void set_delivery_callback(DeliveryCallback callback) override {
-    delivery_callback_ = std::move(callback);
-  }
   void enable_delivery_history_pruning(SimDuration slack) override {
     prune_slack_ = slack;
-  }
-  void set_phase_annotator(PhaseAnnotator* annotator) override {
-    annotator_ = annotator;
   }
 
   [[nodiscard]] const topics::SubscriptionSet& subscriptions() const {
@@ -87,7 +81,6 @@ class FloodingNode final : public ProtocolNode {
   void on_event_bundle(const EventBundle& bundle);
   void maybe_store(const Event& event);
   void transmit_event(const Event& event, DisseminationPhase phase);
-  void deliver(const Event& event);
 
   NodeId id_;
   sim::Scheduler& scheduler_;
@@ -102,8 +95,6 @@ class FloodingNode final : public ProtocolNode {
   std::unique_ptr<sim::PeriodicTask> heartbeat_;
 
   DeliveryMetrics metrics_;
-  DeliveryCallback delivery_callback_;
-  PhaseAnnotator* annotator_ = nullptr;
   std::optional<SimDuration> prune_slack_;
   std::uint32_t next_seq_ = 0;
 };

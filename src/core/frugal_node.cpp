@@ -211,7 +211,7 @@ void FrugalNode::advertise_events_to(
                                        ? DisseminationPhase::kRetrieveRequest
                                        : DisseminationPhase::kAdvert;
   const std::uint64_t frame_id = broadcast(Message{std::move(list)});
-  if (annotator_ != nullptr) annotator_->annotate(frame_id, id_, phase, ids);
+  if (observer_ != nullptr) observer_->annotate(frame_id, id_, phase, ids);
 }
 
 void FrugalNode::on_event_ids(const EventIdList& list) {
@@ -342,13 +342,13 @@ void FrugalNode::send_bundle(std::vector<Event> events,
     events_.increment_forward_count(event.id);
   }
   std::vector<EventId> carried;
-  if (annotator_ != nullptr) {
+  if (observer_ != nullptr) {
     carried.reserve(bundle.events.size());
     for (const Event& event : bundle.events) carried.push_back(event.id);
   }
   const std::uint64_t frame_id = broadcast(Message{std::move(bundle)});
-  if (annotator_ != nullptr) {
-    annotator_->annotate(frame_id, id_, phase, carried);
+  if (observer_ != nullptr) {
+    observer_->annotate(frame_id, id_, phase, carried);
   }
 }
 
@@ -373,10 +373,7 @@ void FrugalNode::publish(Event event) {
     // yet; re-apply after insertion below.
   }
 
-  if (const auto victim = events_.insert(event, now); victim.has_value()) {
-    ++metrics_.gc_evictions;
-    if (gc_callback_) gc_callback_(*victim, now);
-  }
+  store(event, now);
   if (interested) events_.increment_forward_count(event.id);
   deliver(event);
 
@@ -412,11 +409,7 @@ void FrugalNode::on_event_bundle(const EventBundle& bundle) {
       metrics_.duplicates += 1;
       continue;
     }
-    const auto victim = events_.insert(event, now);
-    if (victim.has_value()) {
-      ++metrics_.gc_evictions;
-      if (gc_callback_) gc_callback_(*victim, now);
-    }
+    const std::optional<EventId> victim = store(event, now);
     if (victim.has_value() && *victim == event.id) {
       // The full table rejected the newcomer (it is the worst GC candidate,
       // e.g. expired on arrival). It cannot be relayed from here, so leave
@@ -436,20 +429,22 @@ void FrugalNode::on_event_bundle(const EventBundle& bundle) {
   if (interested) retrieve_events_to_send();
 }
 
+std::optional<EventId> FrugalNode::store(const Event& event, SimTime now) {
+  const std::optional<EventId> victim = events_.insert(event, now);
+  if (victim.has_value()) {
+    ++metrics_.gc_evictions;
+    if (observer_ != nullptr) observer_->on_gc_eviction(id_, *victim, now);
+  }
+  return victim;
+}
+
 void FrugalNode::deliver(const Event& event) {
-  const SimTime now = scheduler_.now();
   // An event can be re-stored after its table entry was collected while the
   // copy kept circulating; the application already saw it, so count it as a
   // duplicate and keep the first delivery time.
-  const bool fresh = metrics_.deliveries
-                         .try_emplace(event.id,
-                                      DeliveryRecord{now, event.expiry()})
-                         .inserted;
-  if (!fresh) {
+  if (!record_delivery(metrics_, event, scheduler_.now())) {
     metrics_.duplicates += 1;
-    return;
   }
-  if (delivery_callback_) delivery_callback_(event, now);
 }
 
 // --------------------------------------------------------------- Figure 10

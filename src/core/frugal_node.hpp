@@ -86,16 +86,6 @@ class FrugalNode final : public ProtocolNode {
   [[nodiscard]] const DeliveryMetrics& metrics() const override {
     return metrics_;
   }
-  void set_delivery_callback(DeliveryCallback callback) override {
-    delivery_callback_ = std::move(callback);
-  }
-  void set_gc_callback(
-      std::function<void(EventId, SimTime)> callback) override {
-    gc_callback_ = std::move(callback);
-  }
-  void set_phase_annotator(PhaseAnnotator* annotator) override {
-    annotator_ = annotator;
-  }
   void enable_delivery_history_pruning(SimDuration slack) override {
     prune_slack_ = slack;
   }
@@ -145,6 +135,9 @@ class FrugalNode final : public ProtocolNode {
   void stop_tasks();
   void run_neighborhood_gc();
   void deliver(const Event& event);
+  /// Stores `event`, counting (and reporting) the GC collection a full
+  /// table forces; returns the evicted or rejected event's id, if any.
+  std::optional<EventId> store(const Event& event, SimTime now);
   /// Broadcasts `message` and returns the medium frame id (for annotation).
   std::uint64_t broadcast(Message message);
   void send_bundle(std::vector<Event> events, DisseminationPhase phase);
@@ -182,9 +175,6 @@ class FrugalNode final : public ProtocolNode {
   sim::TaskHandle pending_retrieve_;
 
   DeliveryMetrics metrics_;
-  DeliveryCallback delivery_callback_;
-  std::function<void(EventId, SimTime)> gc_callback_;
-  PhaseAnnotator* annotator_ = nullptr;
   std::optional<SimDuration> prune_slack_;
   std::uint32_t next_seq_ = 0;
 

@@ -4,10 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/event.hpp"
+#include "core/observer.hpp"
 #include "net/medium.hpp"
 #include "topics/topic.hpp"
 #include "util/stable_map.hpp"
@@ -59,35 +59,9 @@ struct DeliveryMetrics {
   }
 };
 
-/// Protocol-level meaning of one broadcast frame, annotated by the sending
-/// node for observers (the dissemination tracer). Heartbeats are deliberately
-/// unannotated: they carry no event payload, so tracers ignore their frames.
-enum class DisseminationPhase : std::uint8_t {
-  kPublish,          ///< publisher's initial transmission of a fresh event
-  kAdvert,           ///< frugal: EventIdList advertising stored event ids
-  kRetrieveRequest,  ///< frugal: empty EventIdList — pure retrieve trigger
-  kEventPush,        ///< frugal: EventBundle answering a neighbor's advert
-  kFloodForward,     ///< flooding: periodic retransmission of a stored event
-  kGossipForward,    ///< gossip: coin-flip retransmission of a stored event
-};
-
-/// Pure observer of protocol-phase frame annotations. Nodes call `annotate`
-/// immediately after Medium::broadcast returns the frame id, passing the
-/// event ids the frame carries (advertised ids for an EventIdList, bundled
-/// event ids for an EventBundle; empty for a retrieve-request).
-class PhaseAnnotator {
- public:
-  virtual ~PhaseAnnotator() = default;
-  virtual void annotate(std::uint64_t frame_id, NodeId sender,
-                        DisseminationPhase phase,
-                        const std::vector<EventId>& event_ids) = 0;
-};
-
 /// A pub/sub process: the software on one mobile device (paper §2).
 class ProtocolNode : public net::MediumClient {
  public:
-  using DeliveryCallback = std::function<void(const Event&, SimTime)>;
-
   ~ProtocolNode() override = default;
 
   [[nodiscard]] virtual NodeId id() const = 0;
@@ -101,20 +75,10 @@ class ProtocolNode : public net::MediumClient {
 
   [[nodiscard]] virtual const DeliveryMetrics& metrics() const = 0;
 
-  /// Invoked on every application-level delivery (optional).
-  virtual void set_delivery_callback(DeliveryCallback callback) = 0;
-
-  /// Invoked on every event-table GC collection (optional), with the id of
-  /// the evicted/rejected event. Protocols without an event table ignore it.
-  virtual void set_gc_callback(std::function<void(EventId, SimTime)> callback) {
-    static_cast<void>(callback);
-  }
-
-  /// Registers the (optional, not owned) phase annotator consulted on every
-  /// event-carrying broadcast. Protocols without annotations ignore it.
-  virtual void set_phase_annotator(PhaseAnnotator* annotator) {
-    static_cast<void>(annotator);
-  }
+  /// Registers the run's observer (not owned; nullptr detaches): it hears
+  /// every fresh delivery, every event-table GC collection and the phase of
+  /// every event-carrying or advert frame this node broadcasts.
+  virtual void set_observer(RunObserver* observer) { observer_ = observer; }
 
   /// Lets the node drop delivery records of events expired more than
   /// `slack` ago during its periodic housekeeping. Only bounded-memory
@@ -122,6 +86,25 @@ class ProtocolNode : public net::MediumClient {
   virtual void enable_delivery_history_pruning(SimDuration slack) {
     static_cast<void>(slack);
   }
+
+ protected:
+  /// The fresh-delivery bookkeeping every protocol shares: records the
+  /// first application delivery of `event` in `metrics` and reports it to
+  /// the observer. Returns false, recording nothing, when the event was
+  /// delivered here before.
+  bool record_delivery(DeliveryMetrics& metrics, const Event& event,
+                       SimTime now) {
+    const bool fresh =
+        metrics.deliveries
+            .try_emplace(event.id, DeliveryRecord{now, event.expiry()})
+            .inserted;
+    if (fresh && observer_ != nullptr) {
+      observer_->on_delivery(id(), event, now);
+    }
+    return fresh;
+  }
+
+  RunObserver* observer_ = nullptr;
 };
 
 }  // namespace frugal::core

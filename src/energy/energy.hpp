@@ -4,11 +4,12 @@
 // The paper's whole premise is frugality under the power constraints of
 // mobile ad-hoc devices, yet messages and bytes only proxy the real cost:
 // what drains a battery is the *time the radio spends in each power state*.
-// EnergyModel turns the medium's on-air reports (net::RadioActivityListener)
-// into joules via a TX / RX / IDLE / SLEEP / OFF state machine with
-// configurable draws — defaults are Feeney & Nilsson's measurements of a
-// Lucent 802.11 WaveLAN card (INFOCOM 2001): 280 / 204 / 178 / 14 mA at
-// 4.74 V for transmit / receive / idle-listen / doze.
+// EnergyModel, a run observer that listens only to the medium's radio
+// stream, turns its on-air reports into joules via a TX / RX / IDLE /
+// SLEEP / OFF state machine with configurable draws — defaults are Feeney &
+// Nilsson's measurements of a Lucent 802.11 WaveLAN card (INFOCOM 2001):
+// 280 / 204 / 178 / 14 mA at 4.74 V for transmit / receive / idle-listen /
+// doze.
 //
 // Accounting is lazy and exact: each node carries an `accounted_until`
 // cursor and a piecewise-constant state description (tx-until, rx-until,
@@ -26,7 +27,7 @@
 #include <optional>
 #include <vector>
 
-#include "net/medium.hpp"
+#include "core/observer.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -80,7 +81,7 @@ struct EnergyConfig {
 /// exactly when this holds.
 [[nodiscard]] bool any_finite_battery(const EnergyConfig& config);
 
-class EnergyModel final : public net::RadioActivityListener {
+class EnergyModel final : public core::RunObserver {
  public:
   /// Invoked at most once per node, the first time its accumulated spend
   /// crosses the battery capacity. `at` is the exact crossing instant
@@ -94,7 +95,7 @@ class EnergyModel final : public net::RadioActivityListener {
     on_depleted_ = std::move(callback);
   }
 
-  // -- net::RadioActivityListener -------------------------------------------
+  // -- net::MediumObserver (radio stream) -----------------------------------
   void before_tx(NodeId sender, SimTime now) override;
   void on_tx(NodeId sender, SimTime start, SimTime end) override;
   void on_rx(NodeId receiver, SimTime start, SimTime end) override;

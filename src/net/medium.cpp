@@ -39,11 +39,8 @@ void Medium::set_up(NodeId node, bool up) {
   FRUGAL_EXPECT(node < up_.size());
   if (up_[node] == up) return;
   up_[node] = up;
-  if (listener_ != nullptr) {
-    listener_->on_up_changed(node, up, scheduler_.now());
-  }
-  if (frame_listener_ != nullptr) {
-    frame_listener_->on_node_up_changed(node, up, scheduler_.now());
+  if (observer_ != nullptr) {
+    observer_->on_up_changed(node, up, scheduler_.now());
   }
 }
 
@@ -56,8 +53,8 @@ void Medium::set_sleeping(NodeId node, bool sleeping) {
   FRUGAL_EXPECT(node < sleeping_.size());
   if (sleeping_[node] == sleeping) return;
   sleeping_[node] = sleeping;
-  if (listener_ != nullptr) {
-    listener_->on_sleep_changed(node, sleeping, scheduler_.now());
+  if (observer_ != nullptr) {
+    observer_->on_sleep_changed(node, sleeping, scheduler_.now());
   }
 }
 
@@ -108,8 +105,8 @@ std::uint64_t Medium::broadcast(NodeId sender, std::uint32_t size_bytes,
     // lands in exactly one of frames_sent / frames_dropped, same as the
     // crashed-while-queued path below.
     counters_[sender].frames_dropped += 1;
-    if (frame_listener_ != nullptr) {
-      frame_listener_->on_frame_dropped(
+    if (observer_ != nullptr) {
+      observer_->on_frame_dropped(
           Frame{sender, size_bytes, {}, frame_id}, scheduler_.now());
     }
     return frame_id;
@@ -161,8 +158,8 @@ void Medium::start_transmission(NodeId sender,
   sim::ProfileScope profile{scheduler_.profiler(), "medium.transmission"};
   if (!up_[sender]) {  // crashed while the frame was queued
     counters_[sender].frames_dropped += 1;
-    if (frame_listener_ != nullptr) {
-      frame_listener_->on_frame_dropped(*frame, scheduler_.now());
+    if (observer_ != nullptr) {
+      observer_->on_frame_dropped(*frame, scheduler_.now());
     }
     return;
   }
@@ -176,8 +173,8 @@ void Medium::start_transmission(NodeId sender,
   if (free_at > now) {
     if (attempt >= config_.max_defers) {
       counters_[sender].frames_dropped += 1;
-      if (frame_listener_ != nullptr) {
-        frame_listener_->on_frame_dropped(*frame, now);
+      if (observer_ != nullptr) {
+        observer_->on_frame_dropped(*frame, now);
       }
       return;
     }
@@ -194,14 +191,12 @@ void Medium::start_transmission(NodeId sender,
 
   // Settle the sender's energy account before committing the frame: a
   // battery that emptied since the last report kills the radio here (the
-  // listener flips set_up), and a dead radio must not transmit.
-  if (listener_ != nullptr) {
-    listener_->before_tx(sender, now);
+  // observer flips set_up), and a dead radio must not transmit.
+  if (observer_ != nullptr) {
+    observer_->before_tx(sender, now);
     if (!up_[sender]) {  // battery died while the frame was queued
       counters_[sender].frames_dropped += 1;
-      if (frame_listener_ != nullptr) {
-        frame_listener_->on_frame_dropped(*frame, now);
-      }
+      observer_->on_frame_dropped(*frame, now);
       return;
     }
   }
@@ -213,9 +208,9 @@ void Medium::start_transmission(NodeId sender,
   on_air_.push_back(Transmission{sender, now, end});
   counters_[sender].frames_sent += 1;
   counters_[sender].bytes_sent += frame->size_bytes;
-  if (listener_ != nullptr) listener_->on_tx(sender, now, end);
-  if (frame_listener_ != nullptr) {
-    frame_listener_->on_frame_sent(*frame, now, end);
+  if (observer_ != nullptr) {
+    observer_->on_tx(sender, now, end);
+    observer_->on_frame_sent(*frame, now, end);
   }
 
   const Vec2 origin = mobility_.position(sender, now);
@@ -247,8 +242,8 @@ void Medium::offer_to_receiver(NodeId receiver,
   // Half-duplex: a radio that is transmitting cannot hear this frame.
   if (config_.enable_collisions && tx_busy_until_[receiver] > now) {
     counters_[receiver].frames_missed_busy += 1;
-    if (frame_listener_ != nullptr) {
-      frame_listener_->on_frame_missed(*frame, receiver,
+    if (observer_ != nullptr) {
+      observer_->on_frame_missed(*frame, receiver,
                                        FrameLossReason::kBusy, now);
     }
     return;
@@ -257,8 +252,8 @@ void Medium::offer_to_receiver(NodeId receiver,
   // Power-save sleep: the radio is dozing and never locks on the frame.
   if (sleeping_[receiver]) {
     counters_[receiver].frames_missed_asleep += 1;
-    if (frame_listener_ != nullptr) {
-      frame_listener_->on_frame_missed(*frame, receiver,
+    if (observer_ != nullptr) {
+      observer_->on_frame_missed(*frame, receiver,
                                        FrameLossReason::kAsleep, now);
     }
     return;
@@ -281,13 +276,13 @@ void Medium::offer_to_receiver(NodeId receiver,
     }
   }
   receptions_[receiver].push_back(Reception{now, end, corrupted});
-  if (listener_ != nullptr) listener_->on_rx(receiver, now, end);
+  if (observer_ != nullptr) observer_->on_rx(receiver, now, end);
 
   scheduler_.schedule_at(end, [this, receiver, frame, corrupted, end] {
     if (*corrupted) {
       counters_[receiver].frames_collided += 1;
-      if (frame_listener_ != nullptr) {
-        frame_listener_->on_frame_collided(*frame, receiver, end);
+      if (observer_ != nullptr) {
+        observer_->on_frame_collided(*frame, receiver, end);
       }
       return;
     }
@@ -296,16 +291,16 @@ void Medium::offer_to_receiver(NodeId receiver,
       // counted so (delivered + collided + missed_down covers every
       // reception the radio started).
       counters_[receiver].frames_missed_down += 1;
-      if (frame_listener_ != nullptr) {
-        frame_listener_->on_frame_missed(*frame, receiver,
+      if (observer_ != nullptr) {
+        observer_->on_frame_missed(*frame, receiver,
                                          FrameLossReason::kDown, end);
       }
       return;
     }
     counters_[receiver].frames_delivered += 1;
     counters_[receiver].bytes_delivered += frame->size_bytes;
-    if (frame_listener_ != nullptr) {
-      frame_listener_->on_frame_delivered(*frame, receiver, end);
+    if (observer_ != nullptr) {
+      observer_->on_frame_delivered(*frame, receiver, end);
     }
     clients_[receiver]->on_frame(*frame);
   });

@@ -11,7 +11,9 @@
 //      (collisions), and a transmitting radio cannot receive (half-duplex).
 //
 // The medium charges every sent/received byte to per-node traffic counters;
-// the evaluation's bandwidth numbers come from these.
+// the evaluation's bandwidth numbers come from these. Everything else it
+// does — airtime, power and sleep flips, the fate of every frame at every
+// receiver — it reports to one optional MediumObserver.
 #pragma once
 
 #include <any>
@@ -47,14 +49,27 @@ class MediumClient {
   virtual void on_frame(const Frame& frame) = 0;
 };
 
-/// Observer of raw radio activity, implemented by the energy model
-/// (src/energy): per-frame airtime at the sender and at every receiver whose
-/// radio locks onto the frame, plus power and sleep state flips. The medium
-/// reports physics only; what a state transition costs is the listener's
-/// business.
-class RadioActivityListener {
+/// Why a frame that was offered to a receiver never reached its client.
+enum class FrameLossReason : std::uint8_t {
+  kBusy,    ///< receiver's radio was transmitting (half-duplex)
+  kAsleep,  ///< receiver was in power-save sleep
+  kDown,    ///< receiver powered down between lock-on and frame end
+};
+
+/// The one observer of everything the medium does. Two streams share it:
+///   - radio physics (before_tx, on_tx, on_rx, on_up_changed,
+///     on_sleep_changed): per-frame airtime at the sender and at every
+///     receiver whose radio locks on, plus power and sleep flips. The energy
+///     model meters these; what a state transition costs is its business.
+///   - frame fates (on_frame_*): the outcome of every issued frame at every
+///     receiver, keyed by the frame's stable id. The dissemination tracer
+///     builds its DAGs from these.
+/// Every method defaults to a no-op so implementors subscribe selectively.
+/// The medium holds one observer; the experiment layer fans it out to
+/// several (core::ObserverFanOut) in a fixed order.
+class MediumObserver {
  public:
-  virtual ~RadioActivityListener() = default;
+  virtual ~MediumObserver() = default;
   /// Called immediately before `sender` would put a frame on air: the last
   /// chance to settle accounts and power a depleted radio down (via
   /// Medium::set_up) before the frame commits — the medium re-checks the
@@ -65,35 +80,35 @@ class RadioActivityListener {
     static_cast<void>(now);
   }
   /// `sender`'s radio transmits over [start, end).
-  virtual void on_tx(NodeId sender, SimTime start, SimTime end) = 0;
+  virtual void on_tx(NodeId sender, SimTime start, SimTime end) {
+    static_cast<void>(sender);
+    static_cast<void>(start);
+    static_cast<void>(end);
+  }
   /// `receiver`'s radio is locked on an incoming frame over [start, end).
   /// Reported whether or not the frame later collides — a corrupted
   /// reception costs the same airtime as an intact one.
-  virtual void on_rx(NodeId receiver, SimTime start, SimTime end) = 0;
+  virtual void on_rx(NodeId receiver, SimTime start, SimTime end) {
+    static_cast<void>(receiver);
+    static_cast<void>(start);
+    static_cast<void>(end);
+  }
   /// Radio powered up or down (churn crash/recovery, battery depletion).
   /// Only actual flips are reported, never redundant sets.
-  virtual void on_up_changed(NodeId node, bool up, SimTime at) = 0;
+  virtual void on_up_changed(NodeId node, bool up, SimTime at) {
+    static_cast<void>(node);
+    static_cast<void>(up);
+    static_cast<void>(at);
+  }
   /// Radio entered or left power-save sleep (duty cycling). Only actual
   /// flips are reported.
-  virtual void on_sleep_changed(NodeId node, bool sleeping, SimTime at) = 0;
-};
-
-/// Why a frame that was offered to a receiver never reached its client.
-enum class FrameLossReason : std::uint8_t {
-  kBusy,    ///< receiver's radio was transmitting (half-duplex)
-  kAsleep,  ///< receiver was in power-save sleep
-  kDown,    ///< receiver powered down between lock-on and frame end
-};
-
-/// Per-frame fate observer, implemented by the dissemination tracer
-/// (src/telemetry/causal.hpp). Separate from RadioActivityListener on
-/// purpose: that interface reports airtime physics to the energy model,
-/// this one reports the *outcome* of every issued frame at every receiver.
-/// All methods default to no-ops so implementors subscribe selectively.
-class FrameListener {
- public:
-  virtual ~FrameListener() = default;
-  /// The frame committed to air over [start, end).
+  virtual void on_sleep_changed(NodeId node, bool sleeping, SimTime at) {
+    static_cast<void>(node);
+    static_cast<void>(sleeping);
+    static_cast<void>(at);
+  }
+  /// The frame committed to air over [start, end) (reported right after
+  /// on_tx).
   virtual void on_frame_sent(const Frame& frame, SimTime start, SimTime end) {
     static_cast<void>(frame);
     static_cast<void>(start);
@@ -127,14 +142,6 @@ class FrameListener {
     static_cast<void>(frame);
     static_cast<void>(receiver);
     static_cast<void>(reason);
-    static_cast<void>(at);
-  }
-  /// Radio powered up or down. Mirrors RadioActivityListener::on_up_changed
-  /// so a frame observer can track liveness without also being the energy
-  /// listener.
-  virtual void on_node_up_changed(NodeId node, bool up, SimTime at) {
-    static_cast<void>(node);
-    static_cast<void>(up);
     static_cast<void>(at);
   }
 };
@@ -199,15 +206,9 @@ class Medium {
   void set_sleeping(NodeId node, bool sleeping);
   [[nodiscard]] bool is_sleeping(NodeId node) const;
 
-  /// Registers the (single, optional) radio-activity observer. Not owned;
-  /// must outlive the medium's use. nullptr detaches.
-  void set_listener(RadioActivityListener* listener) { listener_ = listener; }
-
-  /// Registers the (single, optional) per-frame fate observer. Not owned;
-  /// must outlive the medium's use. nullptr detaches.
-  void set_frame_listener(FrameListener* listener) {
-    frame_listener_ = listener;
-  }
+  /// Registers the (single, optional) observer. Not owned; must outlive
+  /// the medium's use. nullptr detaches.
+  void set_observer(MediumObserver* observer) { observer_ = observer; }
 
   /// Queues a broadcast from `sender`. The frame goes on air after jitter and
   /// carrier-sense deferral, and reaches every up node within range. Returns
@@ -262,8 +263,7 @@ class Medium {
   MediumConfig config_;
   Rng rng_;
   std::vector<MediumClient*> clients_;
-  RadioActivityListener* listener_ = nullptr;
-  FrameListener* frame_listener_ = nullptr;
+  MediumObserver* observer_ = nullptr;
   std::uint64_t next_frame_id_ = 0;
   std::vector<bool> up_;
   std::vector<bool> sleeping_;

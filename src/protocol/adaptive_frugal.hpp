@@ -58,15 +58,8 @@ class AdaptiveFrugalNode final : public core::ProtocolNode {
   [[nodiscard]] const core::DeliveryMetrics& metrics() const override {
     return inner_.metrics();
   }
-  void set_delivery_callback(DeliveryCallback callback) override {
-    inner_.set_delivery_callback(std::move(callback));
-  }
-  void set_gc_callback(
-      std::function<void(core::EventId, SimTime)> callback) override {
-    inner_.set_gc_callback(std::move(callback));
-  }
-  void set_phase_annotator(core::PhaseAnnotator* annotator) override {
-    inner_.set_phase_annotator(annotator);
+  void set_observer(core::RunObserver* observer) override {
+    inner_.set_observer(observer);
   }
   void enable_delivery_history_pruning(SimDuration slack) override {
     inner_.enable_delivery_history_pruning(slack);

@@ -49,7 +49,9 @@ void GossipNode::publish(core::Event event) {
   event.published_at = now;
   FRUGAL_EXPECT(event.validity.us() > 0);
   maybe_store(event);
-  if (subscriptions_.covers(event.topic)) deliver(event);
+  if (subscriptions_.covers(event.topic)) {
+    record_delivery(metrics_, event, now);
+  }
   // Initial broadcast is unconditional.
   transmit_event(event, core::DisseminationPhase::kPublish);
 }
@@ -82,8 +84,8 @@ void GossipNode::transmit_event(const core::Event& event,
   const std::uint32_t size = core::wire_size(bundle);
   const std::uint64_t frame_id = medium_.broadcast(
       id_, size, std::make_shared<const core::Message>(std::move(bundle)));
-  if (annotator_ != nullptr) {
-    annotator_->annotate(frame_id, id_, phase, {event.id});
+  if (observer_ != nullptr) {
+    observer_->annotate(frame_id, id_, phase, {event.id});
   }
 }
 
@@ -111,18 +113,8 @@ void GossipNode::on_event_bundle(const core::EventBundle& bundle) {
     }
     if (!event.valid_at(now)) continue;
     maybe_store(event);
-    deliver(event);
+    record_delivery(metrics_, event, now);
   }
-}
-
-void GossipNode::deliver(const core::Event& event) {
-  const SimTime now = scheduler_.now();
-  const bool fresh =
-      metrics_.deliveries
-          .try_emplace(event.id, core::DeliveryRecord{now, event.expiry()})
-          .inserted;
-  if (!fresh) return;
-  if (delivery_callback_) delivery_callback_(event, now);
 }
 
 void GossipNode::on_frame(const net::Frame& frame) {

@@ -53,14 +53,8 @@ class GossipNode final : public core::ProtocolNode {
   [[nodiscard]] const core::DeliveryMetrics& metrics() const override {
     return metrics_;
   }
-  void set_delivery_callback(DeliveryCallback callback) override {
-    delivery_callback_ = std::move(callback);
-  }
   void enable_delivery_history_pruning(SimDuration slack) override {
     prune_slack_ = slack;
-  }
-  void set_phase_annotator(core::PhaseAnnotator* annotator) override {
-    annotator_ = annotator;
   }
 
   [[nodiscard]] const topics::SubscriptionSet& subscriptions() const {
@@ -76,7 +70,6 @@ class GossipNode final : public core::ProtocolNode {
   void maybe_store(const core::Event& event);
   void transmit_event(const core::Event& event,
                       core::DisseminationPhase phase);
-  void deliver(const core::Event& event);
 
   NodeId id_;
   sim::Scheduler& scheduler_;
@@ -90,8 +83,6 @@ class GossipNode final : public core::ProtocolNode {
   sim::PeriodicTask ticker_;
 
   core::DeliveryMetrics metrics_;
-  DeliveryCallback delivery_callback_;
-  core::PhaseAnnotator* annotator_ = nullptr;
   std::optional<SimDuration> prune_slack_;
   std::uint32_t next_seq_ = 0;
 };

@@ -60,11 +60,11 @@ DisseminationTracer::~DisseminationTracer() {
   }
 }
 
-void DisseminationTracer::begin_run(Binding binding) {
+void DisseminationTracer::begin_run(const core::RunBinding& binding) {
   FRUGAL_EXPECT(!began_);
   FRUGAL_EXPECT(binding.node_count > 0);
   FRUGAL_EXPECT(binding.node_eligible != nullptr);
-  binding_ = std::move(binding);
+  binding_ = binding;
   began_ = true;
   last_delivered_.assign(binding_.node_count, LastDelivered{});
   node_up_.assign(binding_.node_count, true);
@@ -81,8 +81,13 @@ void DisseminationTracer::begin_run(Binding binding) {
   }
 }
 
-void DisseminationTracer::on_publish(const core::Event& event, SimTime at) {
+void DisseminationTracer::on_publish(std::size_t index,
+                                     const core::Event& event,
+                                     std::uint32_t topic_index) {
+  static_cast<void>(index);
+  static_cast<void>(topic_index);
   FRUGAL_EXPECT(began_ && !ended_);
+  const SimTime at = event.published_at;
   advance_stream(at);
   auto live = std::make_unique<LiveEvent>();
   live->event = event;
@@ -334,8 +339,7 @@ void DisseminationTracer::on_frame_missed(const net::Frame& frame,
   record_edge(*pending, frame.id, receiver, outcome, at);
 }
 
-void DisseminationTracer::on_node_up_changed(NodeId node, bool up,
-                                             SimTime at) {
+void DisseminationTracer::on_up_changed(NodeId node, bool up, SimTime at) {
   if (!began_ || ended_) return;
   advance_stream(at);
   if (node < node_up_.size()) node_up_[node] = up;

@@ -11,9 +11,10 @@
 //            delivered / expired-in-table / gc-evicted / marooned /
 //            died-with-node (a total partition — causal_trace_test proves it).
 //
-// Inputs are the Medium's FrameListener callbacks (per-frame fates, keyed by
-// the stable frame ids PR 10 added) and the protocol nodes' PhaseAnnotator
-// calls (what each event-carrying or advert frame means). The tracer NEVER
+// The tracer is a core::RunObserver. Its inputs are the medium's frame-fate
+// callbacks (keyed by stable frame ids), the protocol nodes' annotate calls
+// (what each event-carrying or advert frame means) and the run's publish,
+// delivery, GC and up/down streams. The tracer NEVER
 // schedules tasks, draws RNG, or mutates simulation state: attaching it is
 // provably perturbation-free (goldens and sweep CSVs byte-identical with
 // tracing on and off).
@@ -41,14 +42,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/event.hpp"
-#include "core/node.hpp"
-#include "net/medium.hpp"
+#include "core/observer.hpp"
 #include "stats/kll_sketch.hpp"
 #include "telemetry/dag.hpp"
 #include "telemetry/perfetto.hpp"
@@ -178,59 +177,41 @@ struct TracerConfig {
   bool bounded = false;
 };
 
-/// The pure-observer tracer. Plugs into the medium as its FrameListener and
-/// into every protocol node as its PhaseAnnotator; the experiment fans its
-/// delivery/GC/publish callbacks in next to telemetry's.
+/// The pure-observer tracer, attached through ExperimentConfig::dissem_tracer.
 ///
-/// Every input callback is virtual so causal_trace_test can interpose a
-/// recording shim: the shim captures the raw callback stream verbatim,
-/// forwards to the base class, and a batch reconstruction over the captured
-/// stream is then compared against the streaming DAGs for equality.
-class DisseminationTracer : public net::FrameListener,
-                            public core::PhaseAnnotator {
+/// Every input callback is a virtual RunObserver method, so
+/// causal_trace_test can interpose a recording shim: the shim captures the
+/// raw callback stream verbatim, forwards to the base class, and a batch
+/// reconstruction over the captured stream is then compared against the
+/// streaming DAGs for equality.
+class DisseminationTracer : public core::RunObserver {
  public:
-  struct Binding {
-    std::size_t node_count = 0;
-    /// Whether `node` counts toward an event's eligible-subscriber set
-    /// (same contract as telemetry::RunBinding::node_eligible). Borrowed:
-    /// valid from begin_run until end_run.
-    std::function<bool(NodeId, const core::Event&)> node_eligible;
-  };
-
   explicit DisseminationTracer(TracerConfig config = {});
   ~DisseminationTracer() override;
 
   DisseminationTracer(const DisseminationTracer&) = delete;
   DisseminationTracer& operator=(const DisseminationTracer&) = delete;
 
-  void begin_run(Binding binding);
-
   /// Optional: stitch Perfetto flow events (publish -> tx spans ->
   /// deliveries) onto an existing writer's per-node tracks. Borrowed; must
   /// outlive the run. Call after begin_run.
   void set_perfetto(PerfettoWriter* writer) { perfetto_ = writer; }
 
-  /// The experiment reports each publish with the event's final id and
-  /// publish time, *before* calling the node's publish() (which
-  /// self-delivers synchronously).
-  virtual void on_publish(const core::Event& event, SimTime at);
-
-  /// Fired once per fresh application-level delivery of a workload event.
-  virtual void on_delivery(NodeId node, const core::Event& event, SimTime at);
-
-  /// Fired once per event-table GC collection, with the victim's id.
-  virtual void on_gc_eviction(NodeId node, core::EventId victim, SimTime at);
-
-  /// Retires every outstanding event, finalizes stats and closes the trace
-  /// file. Must run before the experiment tears down the bound state.
-  virtual void end_run(SimTime run_end);
-
-  // -- core::PhaseAnnotator -------------------------------------------------
+  // -- core::RunObserver -----------------------------------------------------
+  /// Reads node_count and node_eligible; the binding's callables are
+  /// borrowed until end_run.
+  void begin_run(const core::RunBinding& binding) override;
+  void on_publish(std::size_t index, const core::Event& event,
+                  std::uint32_t topic_index) override;
+  void on_delivery(NodeId node, const core::Event& event,
+                   SimTime at) override;
+  void on_gc_eviction(NodeId node, core::EventId victim, SimTime at) override;
   void annotate(std::uint64_t frame_id, NodeId sender,
                 core::DisseminationPhase phase,
                 const std::vector<core::EventId>& event_ids) override;
-
-  // -- net::FrameListener ---------------------------------------------------
+  /// Retires every outstanding event, finalizes stats and closes the trace
+  /// file. Must run before the experiment tears down the bound state.
+  void end_run(SimTime run_end) override;
   void on_frame_sent(const net::Frame& frame, SimTime start,
                      SimTime end) override;
   void on_frame_dropped(const net::Frame& frame, SimTime at) override;
@@ -240,7 +221,7 @@ class DisseminationTracer : public net::FrameListener,
                          SimTime end) override;
   void on_frame_missed(const net::Frame& frame, NodeId receiver,
                        net::FrameLossReason reason, SimTime at) override;
-  void on_node_up_changed(NodeId node, bool up, SimTime at) override;
+  void on_up_changed(NodeId node, bool up, SimTime at) override;
 
   /// Valid after end_run.
   [[nodiscard]] const DisseminationStats& stats() const { return stats_; }
@@ -332,7 +313,7 @@ class DisseminationTracer : public net::FrameListener,
   void fold_stats(const EventRecord& record);
 
   TracerConfig config_;
-  Binding binding_;
+  core::RunBinding binding_;
   bool began_ = false;
   bool ended_ = false;
 

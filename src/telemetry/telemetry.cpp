@@ -15,13 +15,13 @@ RunTelemetry::~RunTelemetry() {
   if (series_ != nullptr) std::fclose(series_);
 }
 
-void RunTelemetry::begin_run(RunBinding binding) {
+void RunTelemetry::begin_run(const core::RunBinding& binding) {
   FRUGAL_EXPECT(!began_);
   FRUGAL_EXPECT(binding.node_count > 0);
   FRUGAL_EXPECT(!binding.publishers.empty());
   FRUGAL_EXPECT(binding.node_eligible != nullptr);
   FRUGAL_EXPECT(binding.eligible_count != nullptr);
-  binding_ = std::move(binding);
+  binding_ = binding;
   began_ = true;
 
   // Operator DAG. Insertion order is topological order; the two edges wired
@@ -104,9 +104,11 @@ std::uint32_t RunTelemetry::eligible_for_topic(std::uint32_t topic_index) {
   return static_cast<std::uint32_t>(eligible_by_topic_[topic_index]);
 }
 
-void RunTelemetry::on_publish(std::size_t index, core::EventId id, SimTime at,
+void RunTelemetry::on_publish(std::size_t index, const core::Event& event,
                               std::uint32_t topic_index) {
   FRUGAL_EXPECT(began_ && !ended_);
+  const core::EventId id = event.id;
+  const SimTime at = event.published_at;
   sim::ProfileScope scope{binding_.profiler, "telemetry.ingest"};
   advance_stream(at);
   FRUGAL_EXPECT(index == published_count_);
@@ -151,7 +153,9 @@ void RunTelemetry::on_delivery(NodeId node, const core::Event& event,
   if (perfetto_) perfetto_->instant(node, "deliver", "app", at);
 }
 
-void RunTelemetry::on_gc_eviction(NodeId node, SimTime at) {
+void RunTelemetry::on_gc_eviction(NodeId node, core::EventId victim,
+                                  SimTime at) {
+  static_cast<void>(victim);
   FRUGAL_EXPECT(began_ && !ended_);
   sim::ProfileScope scope{binding_.profiler, "telemetry.ingest"};
   advance_stream(at);

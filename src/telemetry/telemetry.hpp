@@ -9,6 +9,11 @@
 //   (c) a Chrome/Perfetto trace (perfetto.hpp): per-node TX/RX/down/sleep
 //       spans, publish/delivery/GC instants, windowed counter tracks.
 //
+// The hub is a core::RunObserver. run_experiment's fan-out calls it after
+// the energy model (whose accounts settle before the hub reads joules) and
+// before the dissemination tracer; end_run goes in reverse, so the tracer's
+// Perfetto flow events land before the hub finalizes the trace.
+//
 // Invariants the experiment layer relies on:
 //   - The hub NEVER schedules simulator tasks, draws from simulator RNG
 //     streams, or mutates any simulation object. Attaching telemetry cannot
@@ -26,14 +31,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/event.hpp"
-#include "net/medium.hpp"
+#include "core/observer.hpp"
 #include "sim/profiler.hpp"
 #include "telemetry/aggregates.hpp"
 #include "telemetry/dag.hpp"
@@ -59,33 +63,7 @@ struct TelemetryConfig {
   std::string perfetto_path;
 };
 
-/// Everything the hub needs from one experiment run, bound at begin_run.
-/// The callable members borrow experiment-local state (subscription tables,
-/// the energy model) — they are valid from begin_run until end_run, which
-/// is why end_run must happen before the experiment moves that state into
-/// its results.
-struct RunBinding {
-  std::size_t node_count = 0;
-  std::size_t event_count = 0;
-  std::size_t topic_count = 1;
-  /// Round-robin publisher ring: event i is published by
-  /// publishers[i % publishers.size()].
-  std::vector<NodeId> publishers;
-  SimDuration run_validity;
-  SimTime run_end;
-  /// Whether `node` counts toward an event's reached set (subscribed and
-  /// its subscriptions cover the event's topic).
-  std::function<bool(NodeId, const core::Event&)> node_eligible;
-  /// Number of eligible nodes for events of a given topic-pool index
-  /// (cached per topic by the hub).
-  std::function<std::uint32_t(std::uint32_t)> eligible_count;
-  /// Total joules spent across all nodes as of `t` (null when the run has
-  /// no energy model); must not mutate the model.
-  std::function<double(SimTime)> total_joules_at;
-  sim::Profiler* profiler = nullptr;
-};
-
-class RunTelemetry final : public net::RadioActivityListener {
+class RunTelemetry final : public core::RunObserver {
  public:
   explicit RunTelemetry(TelemetryConfig config);
   ~RunTelemetry() override;
@@ -93,26 +71,18 @@ class RunTelemetry final : public net::RadioActivityListener {
   RunTelemetry(const RunTelemetry&) = delete;
   RunTelemetry& operator=(const RunTelemetry&) = delete;
 
-  void begin_run(RunBinding binding);
-
-  /// The experiment reports each publish *before* calling the node's
-  /// publish() (which self-delivers synchronously). `index` is the global
-  /// publish index; ids follow EventId{publishers[index % P], index / P}.
-  void on_publish(std::size_t index, core::EventId id, SimTime at,
-                  std::uint32_t topic_index);
-
-  /// Fired once per fresh application-level delivery of a workload event.
-  void on_delivery(NodeId node, const core::Event& event, SimTime at);
-
-  /// Fired once per event-table GC collection.
-  void on_gc_eviction(NodeId node, SimTime at);
-
+  // -- core::RunObserver -----------------------------------------------------
+  void begin_run(const core::RunBinding& binding) override;
+  /// `index` is the global publish index; ids follow
+  /// EventId{publishers[index % P], index / P}.
+  void on_publish(std::size_t index, const core::Event& event,
+                  std::uint32_t topic_index) override;
+  void on_delivery(NodeId node, const core::Event& event,
+                   SimTime at) override;
+  void on_gc_eviction(NodeId node, core::EventId victim, SimTime at) override;
   /// Final drain: retires every outstanding probe fold, flushes the tail
-  /// window, closes open Perfetto spans and finalizes both artifacts. Must
-  /// run before the experiment tears down the state the binding borrows.
-  void end_run(SimTime run_end);
-
-  // -- net::RadioActivityListener -------------------------------------------
+  /// window, closes open Perfetto spans and finalizes both artifacts.
+  void end_run(SimTime run_end) override;
   void on_tx(NodeId sender, SimTime start, SimTime end) override;
   void on_rx(NodeId receiver, SimTime start, SimTime end) override;
   void on_up_changed(NodeId node, bool up, SimTime at) override;
@@ -166,7 +136,7 @@ class RunTelemetry final : public net::RadioActivityListener {
   [[nodiscard]] std::uint32_t eligible_for_topic(std::uint32_t topic_index);
 
   TelemetryConfig config_;
-  RunBinding binding_;
+  core::RunBinding binding_;
   bool began_ = false;
   bool ended_ = false;
 
@@ -214,41 +184,6 @@ class RunTelemetry final : public net::RadioActivityListener {
   std::vector<std::optional<SimTime>> sleep_since_;
 
   RunAggregates aggregates_;
-};
-
-/// Fans the medium's radio-activity stream out to two listeners, energy
-/// model first (accounting must settle before observation reads it), then
-/// telemetry. before_tx forwards in the same order.
-class RadioActivityTee final : public net::RadioActivityListener {
- public:
-  RadioActivityTee(net::RadioActivityListener* first,
-                   net::RadioActivityListener* second)
-      : first_{first}, second_{second} {}
-
-  void before_tx(NodeId sender, SimTime now) override {
-    if (first_ != nullptr) first_->before_tx(sender, now);
-    if (second_ != nullptr) second_->before_tx(sender, now);
-  }
-  void on_tx(NodeId sender, SimTime start, SimTime end) override {
-    if (first_ != nullptr) first_->on_tx(sender, start, end);
-    if (second_ != nullptr) second_->on_tx(sender, start, end);
-  }
-  void on_rx(NodeId receiver, SimTime start, SimTime end) override {
-    if (first_ != nullptr) first_->on_rx(receiver, start, end);
-    if (second_ != nullptr) second_->on_rx(receiver, start, end);
-  }
-  void on_up_changed(NodeId node, bool up, SimTime at) override {
-    if (first_ != nullptr) first_->on_up_changed(node, up, at);
-    if (second_ != nullptr) second_->on_up_changed(node, up, at);
-  }
-  void on_sleep_changed(NodeId node, bool sleeping, SimTime at) override {
-    if (first_ != nullptr) first_->on_sleep_changed(node, sleeping, at);
-    if (second_ != nullptr) second_->on_sleep_changed(node, sleeping, at);
-  }
-
- private:
-  net::RadioActivityListener* first_;
-  net::RadioActivityListener* second_;
 };
 
 }  // namespace frugal::telemetry

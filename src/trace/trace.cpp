@@ -1,6 +1,11 @@
 #include "trace/trace.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <tuple>
+#include <utility>
+
+#include "util/expect.hpp"
 
 namespace frugal::trace {
 
@@ -26,6 +31,50 @@ std::vector<TraceRecord> TraceRecorder::filter(TraceKind kind) const {
     if (record.kind == kind) out.push_back(record);
   }
   return out;
+}
+
+void TraceRecorder::begin_run(const core::RunBinding& binding) {
+  static_cast<void>(binding);
+  run_begin_ = records_.size();
+  index_of_.clear();
+}
+
+void TraceRecorder::on_publish(std::size_t index, const core::Event& event,
+                               std::uint32_t topic_index) {
+  static_cast<void>(topic_index);
+  index_of_[event.id] = index;
+  publish(event.published_at, event.id.publisher, event.id);
+}
+
+void TraceRecorder::on_delivery(NodeId node, const core::Event& event,
+                                SimTime at) {
+  deliver(at, node, event.id);
+}
+
+void TraceRecorder::on_up_changed(NodeId node, bool up, SimTime at) {
+  if (up) {
+    node_up(at, node);
+  } else {
+    node_down(at, node);
+  }
+}
+
+void TraceRecorder::end_run(SimTime run_end) {
+  static_cast<void>(run_end);
+  const auto key = [this](const TraceRecord& record) {
+    std::size_t index = 0;
+    if (record.event.has_value()) {
+      const auto it = index_of_.find(*record.event);
+      FRUGAL_EXPECT(it != index_of_.end());
+      index = it->second;
+    }
+    return std::make_tuple(record.at, record.kind, record.node, index);
+  };
+  std::stable_sort(records_.begin() + static_cast<std::ptrdiff_t>(run_begin_),
+                   records_.end(),
+                   [&key](const TraceRecord& a, const TraceRecord& b) {
+                     return key(a) < key(b);
+                   });
 }
 
 bool TraceRecorder::write_csv(const std::string& path) const {

@@ -2,17 +2,25 @@
 //
 // A TraceRecorder collects timestamped protocol events (publications,
 // deliveries, node up/down flips and periodic position samples) during a
-// run and writes them as CSV for offline inspection/plotting. The examples
-// and the debugging workflow use it; the figure harnesses do not (they only
-// need aggregates).
+// run and writes them as CSV for offline inspection/plotting. The examples,
+// the golden traces and the debugging workflow use it; the figure harnesses
+// do not (they only need aggregates).
+//
+// Attached to a run (ExperimentConfig::trace) it is a live core::RunObserver:
+// it records publications, fresh deliveries and radio up/down flips as they
+// happen, and at end_run sorts the run's records by (time, kind, node,
+// event index). The event index orders the events of one bundle, which a
+// node delivers in bundle order, by publication instead.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/event.hpp"
+#include "core/observer.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 #include "util/vec2.hpp"
@@ -39,7 +47,7 @@ struct TraceRecord {
   std::optional<Vec2> position;
 };
 
-class TraceRecorder {
+class TraceRecorder final : public core::RunObserver {
  public:
   void publish(SimTime at, NodeId node, core::EventId event) {
     records_.push_back({at, TraceKind::kPublish, node, event, {}});
@@ -63,6 +71,15 @@ class TraceRecorder {
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   void clear() { records_.clear(); }
 
+  // -- core::RunObserver -----------------------------------------------------
+  void begin_run(const core::RunBinding& binding) override;
+  void on_publish(std::size_t index, const core::Event& event,
+                  std::uint32_t topic_index) override;
+  void on_delivery(NodeId node, const core::Event& event,
+                   SimTime at) override;
+  void on_up_changed(NodeId node, bool up, SimTime at) override;
+  void end_run(SimTime run_end) override;
+
   /// Records of one kind, in time order (records are appended in time order
   /// by construction — the simulator is single-threaded).
   [[nodiscard]] std::vector<TraceRecord> filter(TraceKind kind) const;
@@ -73,6 +90,10 @@ class TraceRecorder {
 
  private:
   std::vector<TraceRecord> records_;
+  /// First record of the attached run; end_run sorts from here on.
+  std::size_t run_begin_ = 0;
+  /// Publish index of every event of the attached run: the sort's last key.
+  std::map<core::EventId, std::size_t> index_of_;
 };
 
 }  // namespace frugal::trace

@@ -4,7 +4,7 @@
 // which retires events on the fly, prunes stale frame annotations and keeps
 // only bounded live state — produces exactly the per-event DAGs that a naive
 // batch pass over the raw callback stream produces. A shim subclass records
-// every FrameListener / PhaseAnnotator / experiment callback verbatim while
+// every run-observer callback the tracer consumes verbatim while
 // forwarding to the real tracer, and an independent batch reconstruction
 // over the captured stream is compared edge-for-edge, outcome-for-outcome
 // against records().
@@ -140,23 +140,24 @@ class CapturingTracer : public DisseminationTracer {
     DisseminationTracer::on_frame_missed(frame, receiver, reason, at);
   }
 
-  void on_node_up_changed(NodeId node, bool up, SimTime at) override {
+  void on_up_changed(NodeId node, bool up, SimTime at) override {
     RawEntry entry;
     entry.kind = RawKind::kUpChanged;
     entry.node = node;
     entry.up = up;
     entry.t0 = at;
     log.push_back(std::move(entry));
-    DisseminationTracer::on_node_up_changed(node, up, at);
+    DisseminationTracer::on_up_changed(node, up, at);
   }
 
-  void on_publish(const core::Event& event, SimTime at) override {
+  void on_publish(std::size_t index, const core::Event& event,
+                  std::uint32_t topic_index) override {
     RawEntry entry;
     entry.kind = RawKind::kPublish;
     entry.event = event;
-    entry.t0 = at;
+    entry.t0 = event.published_at;
     log.push_back(std::move(entry));
-    DisseminationTracer::on_publish(event, at);
+    DisseminationTracer::on_publish(index, event, topic_index);
   }
 
   void on_delivery(NodeId node, const core::Event& event,

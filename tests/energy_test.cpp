@@ -227,7 +227,7 @@ net::MediumConfig fast_config() {
 TEST(EnergyMediumTest, BroadcastChargesTxAtSenderAndRxAtReceiver) {
   Fixture f{{{0, 0}, {50, 0}, {500, 0}}, fast_config()};
   EnergyModel model{3, metering_only()};
-  f.medium.set_listener(&model);
+  f.medium.set_observer(&model);
   f.medium.broadcast(0, 125, 0);
   f.scheduler.run_until(at_s(1.0));
   model.advance_all(at_s(1.0));
@@ -243,7 +243,7 @@ TEST(EnergyMediumTest, BroadcastChargesTxAtSenderAndRxAtReceiver) {
 TEST(EnergyMediumTest, SleepingRadioMissesFramesButStillTransmits) {
   Fixture f{{{0, 0}, {50, 0}}, fast_config()};
   EnergyModel model{2, metering_only()};
-  f.medium.set_listener(&model);
+  f.medium.set_observer(&model);
   f.medium.set_sleeping(1, true);
   f.medium.broadcast(0, 125, 0);   // lost on node 1's dozing radio
   f.medium.broadcast(1, 125, 0);   // PSM wake-to-send still goes out
@@ -269,7 +269,7 @@ TEST(EnergyMediumTest, UndiscoveredDepletionIsSettledBeforeTransmitting) {
   EnergyModel model{2, config};
   model.set_depletion_callback(
       [&f](NodeId id, SimTime) { f.medium.set_up(id, false); });
-  f.medium.set_listener(&model);
+  f.medium.set_observer(&model);
   // No sampler runs here: only the medium's hooks can notice the crossing.
   f.scheduler.schedule_at(SimTime::from_seconds(5.0),
                           [&f] { f.medium.broadcast(0, 125, 0); });
@@ -283,16 +283,14 @@ TEST(EnergyMediumTest, UndiscoveredDepletionIsSettledBeforeTransmitting) {
 }
 
 TEST(EnergyMediumTest, RedundantSetSleepingAndSetUpDoNotNotify) {
-  struct FlipCounter final : net::RadioActivityListener {
-    void on_tx(NodeId, SimTime, SimTime) override {}
-    void on_rx(NodeId, SimTime, SimTime) override {}
+  struct FlipCounter final : net::MediumObserver {
     void on_up_changed(NodeId, bool, SimTime) override { ++ups; }
     void on_sleep_changed(NodeId, bool, SimTime) override { ++sleeps; }
     int ups = 0;
     int sleeps = 0;
   } counter;
   Fixture f{{{0, 0}, {50, 0}}, fast_config()};
-  f.medium.set_listener(&counter);
+  f.medium.set_observer(&counter);
   f.medium.set_up(0, true);        // already up: no flip
   f.medium.set_sleeping(0, false); // already awake: no flip
   EXPECT_EQ(counter.ups, 0);

@@ -375,12 +375,18 @@ TEST(FrugalNodeTest, DeliveryCallbackFires) {
   World w{{{0, 0}, {50, 0}}};
   w.node(0).subscribe(Topic::parse(".a"));
   w.node(1).subscribe(Topic::parse(".a"));
-  int calls = 0;
-  Event seen;
-  w.node(1).set_delivery_callback([&](const Event& e, SimTime) {
-    ++calls;
-    seen = e;
-  });
+  struct Seen final : RunObserver {
+    void on_delivery(NodeId node, const Event& e, SimTime) override {
+      EXPECT_EQ(node, 1u);
+      ++calls;
+      seen = e;
+    }
+    int calls = 0;
+    Event seen;
+  } observer;
+  w.node(1).set_observer(&observer);
+  int& calls = observer.calls;
+  Event& seen = observer.seen;
   w.run_for(3_sec);
   Event e = w.make_event(".a.x");
   e.payload = "hello";

@@ -31,7 +31,7 @@ struct Segment {
 
 /// Records every airtime segment the medium reports, plus the sender's
 /// in-range audience at transmission start (the accountability baseline).
-class RecordingListener final : public RadioActivityListener {
+class RecordingListener final : public MediumObserver {
  public:
   explicit RecordingListener(const Medium& medium) : medium_{medium} {}
 
@@ -42,9 +42,6 @@ class RecordingListener final : public RadioActivityListener {
   void on_rx(NodeId receiver, SimTime start, SimTime end) override {
     rx.push_back({receiver, start, end});
   }
-  void on_up_changed(NodeId, bool, SimTime) override {}
-  void on_sleep_changed(NodeId, bool, SimTime) override {}
-
   std::vector<Segment> tx;
   std::vector<Segment> rx;
   std::size_t audience = 0;  ///< sum over tx of up in-range nodes
@@ -75,7 +72,7 @@ struct World {
       }
       medium.attach(id, &sinks[id]);
     }
-    medium.set_listener(&listener);
+    medium.set_observer(&listener);
   }
 
   static std::vector<Vec2> random_positions(std::size_t count, double area_m,

@@ -87,16 +87,22 @@ struct RunSignature {
 };
 
 RunSignature exercise(World& w) {
+  struct Recorder final : core::RunObserver {
+    explicit Recorder(RunSignature& out) : signature{out} {}
+    void on_delivery(NodeId, const Event& event, SimTime at) override {
+      signature.deliveries.emplace_back(at, event.id);
+    }
+    RunSignature& signature;
+  };
   RunSignature signature;
-  w.nodes[1]->set_delivery_callback(
-      [&](const Event& event, SimTime at) {
-        signature.deliveries.emplace_back(at, event.id);
-      });
+  Recorder recorder{signature};
+  w.nodes[1]->set_observer(&recorder);
   w.nodes[1]->subscribe(Topic::parse(".a"));
   w.run_for(3.0);  // heartbeats build the neighborhood first
   w.nodes[0]->publish(World::make_event(".a.x"));
   w.run_for(5.0);
   signature.events_sent = w.nodes[0]->metrics().events_sent;
+  w.nodes[1]->set_observer(nullptr);  // the recorder dies with this frame
   return signature;
 }
 
