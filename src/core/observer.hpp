@@ -70,46 +70,29 @@ class RunObserver : public net::MediumObserver {
  public:
   /// Called once, after every node is built and before the first simulated
   /// task runs.
-  virtual void begin_run(const RunBinding& binding) {
-    static_cast<void>(binding);
-  }
+  virtual void begin_run(const RunBinding& /*binding*/) {}
   /// Publication `index` (global publish order) of `event`, which already
   /// carries its final id and publish time. Reported *before* the node's
   /// publish(), which may self-deliver synchronously.
-  virtual void on_publish(std::size_t index, const Event& event,
-                          std::uint32_t topic_index) {
-    static_cast<void>(index);
-    static_cast<void>(event);
-    static_cast<void>(topic_index);
-  }
+  virtual void on_publish(std::size_t /*index*/, const Event& /*event*/,
+                          std::uint32_t /*topic_index*/) {}
   /// Fired once per fresh application-level delivery.
-  virtual void on_delivery(NodeId node, const Event& event, SimTime at) {
-    static_cast<void>(node);
-    static_cast<void>(event);
-    static_cast<void>(at);
-  }
+  virtual void on_delivery(NodeId /*node*/, const Event& /*event*/,
+                           SimTime /*at*/) {}
   /// Fired once per event-table GC collection, with the id of the evicted
   /// or rejected event.
-  virtual void on_gc_eviction(NodeId node, EventId victim, SimTime at) {
-    static_cast<void>(node);
-    static_cast<void>(victim);
-    static_cast<void>(at);
-  }
+  virtual void on_gc_eviction(NodeId /*node*/, EventId /*victim*/,
+                              SimTime /*at*/) {}
   /// What an event-carrying or advert frame means. Nodes call this right
   /// after Medium::broadcast returns the frame id, with the event ids the
   /// frame carries (advertised ids for an EventIdList, bundled ids for an
   /// EventBundle; empty for a retrieve-request).
-  virtual void annotate(std::uint64_t frame_id, NodeId sender,
-                        DisseminationPhase phase,
-                        const std::vector<EventId>& event_ids) {
-    static_cast<void>(frame_id);
-    static_cast<void>(sender);
-    static_cast<void>(phase);
-    static_cast<void>(event_ids);
-  }
+  virtual void annotate(std::uint64_t /*frame_id*/, NodeId /*sender*/,
+                        DisseminationPhase /*phase*/,
+                        const std::vector<EventId>& /*event_ids*/) {}
   /// Final drain at the run horizon, before the experiment collects its
   /// results.
-  virtual void end_run(SimTime run_end) { static_cast<void>(run_end); }
+  virtual void end_run(SimTime /*run_end*/) {}
 };
 
 /// Forwards every callback to a fixed list of observers in list order;

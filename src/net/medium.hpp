@@ -75,75 +75,39 @@ class MediumObserver {
   /// Medium::set_up) before the frame commits — the medium re-checks the
   /// sender's up state afterwards, so a battery that emptied since the
   /// last report never transmits.
-  virtual void before_tx(NodeId sender, SimTime now) {
-    static_cast<void>(sender);
-    static_cast<void>(now);
-  }
+  virtual void before_tx(NodeId /*sender*/, SimTime /*now*/) {}
   /// `sender`'s radio transmits over [start, end).
-  virtual void on_tx(NodeId sender, SimTime start, SimTime end) {
-    static_cast<void>(sender);
-    static_cast<void>(start);
-    static_cast<void>(end);
-  }
+  virtual void on_tx(NodeId /*sender*/, SimTime /*start*/, SimTime /*end*/) {}
   /// `receiver`'s radio is locked on an incoming frame over [start, end).
   /// Reported whether or not the frame later collides — a corrupted
   /// reception costs the same airtime as an intact one.
-  virtual void on_rx(NodeId receiver, SimTime start, SimTime end) {
-    static_cast<void>(receiver);
-    static_cast<void>(start);
-    static_cast<void>(end);
-  }
+  virtual void on_rx(NodeId /*receiver*/, SimTime /*start*/,
+                     SimTime /*end*/) {}
   /// Radio powered up or down (churn crash/recovery, battery depletion).
   /// Only actual flips are reported, never redundant sets.
-  virtual void on_up_changed(NodeId node, bool up, SimTime at) {
-    static_cast<void>(node);
-    static_cast<void>(up);
-    static_cast<void>(at);
-  }
+  virtual void on_up_changed(NodeId /*node*/, bool /*up*/, SimTime /*at*/) {}
   /// Radio entered or left power-save sleep (duty cycling). Only actual
   /// flips are reported.
-  virtual void on_sleep_changed(NodeId node, bool sleeping, SimTime at) {
-    static_cast<void>(node);
-    static_cast<void>(sleeping);
-    static_cast<void>(at);
-  }
+  virtual void on_sleep_changed(NodeId /*node*/, bool /*sleeping*/,
+                                SimTime /*at*/) {}
   /// The frame committed to air over [start, end) (reported right after
   /// on_tx).
-  virtual void on_frame_sent(const Frame& frame, SimTime start, SimTime end) {
-    static_cast<void>(frame);
-    static_cast<void>(start);
-    static_cast<void>(end);
-  }
+  virtual void on_frame_sent(const Frame& /*frame*/, SimTime /*start*/,
+                             SimTime /*end*/) {}
   /// The frame was issued but never got on air: sender down at issue time,
   /// crashed or battery-died while queued, or gave up after max_defers.
-  virtual void on_frame_dropped(const Frame& frame, SimTime at) {
-    static_cast<void>(frame);
-    static_cast<void>(at);
-  }
+  virtual void on_frame_dropped(const Frame& /*frame*/, SimTime /*at*/) {}
   /// The frame arrived intact at `receiver` (called immediately before the
   /// client's on_frame).
-  virtual void on_frame_delivered(const Frame& frame, NodeId receiver,
-                                  SimTime end) {
-    static_cast<void>(frame);
-    static_cast<void>(receiver);
-    static_cast<void>(end);
-  }
+  virtual void on_frame_delivered(const Frame& /*frame*/, NodeId /*receiver*/,
+                                  SimTime /*end*/) {}
   /// The frame was corrupted by overlap at `receiver`.
-  virtual void on_frame_collided(const Frame& frame, NodeId receiver,
-                                 SimTime end) {
-    static_cast<void>(frame);
-    static_cast<void>(receiver);
-    static_cast<void>(end);
-  }
+  virtual void on_frame_collided(const Frame& /*frame*/, NodeId /*receiver*/,
+                                 SimTime /*end*/) {}
   /// The frame never reached `receiver`'s client for `reason` (busy/asleep
   /// are reported at offer time, down at the frame's scheduled end).
-  virtual void on_frame_missed(const Frame& frame, NodeId receiver,
-                               FrameLossReason reason, SimTime at) {
-    static_cast<void>(frame);
-    static_cast<void>(receiver);
-    static_cast<void>(reason);
-    static_cast<void>(at);
-  }
+  virtual void on_frame_missed(const Frame& /*frame*/, NodeId /*receiver*/,
+                               FrameLossReason /*reason*/, SimTime /*at*/) {}
 };
 
 struct MediumConfig {
