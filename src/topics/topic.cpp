@@ -78,7 +78,11 @@ std::vector<Topic> complete_tree_level(const Topic& root,
     next.reserve(level.size() * branching);
     for (const Topic& parent : level) {
       for (std::uint32_t child = 0; child < branching; ++child) {
-        next.push_back(parent.child("b" + std::to_string(child)));
+        // Appended, not "b" + std::to_string(child): GCC 12's -O3 raises a
+        // false -Werror=restrict on the prepending operator+.
+        std::string name = "b";
+        name += std::to_string(child);
+        next.push_back(parent.child(name));
       }
     }
     level = std::move(next);

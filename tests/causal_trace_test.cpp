@@ -874,10 +874,11 @@ TEST(CausalTraceTest, DutyCycleYieldsMissedAsleepEdges) {
   config.event_count = 2;
   config.seed = 37;
   config.mobility = core::StaticSetup{1200.0, 1200.0};
-  energy::EnergyConfig energy;
-  energy.sleep_fraction = 0.4;
-  energy.duty_period = SimDuration::from_seconds(1.0);
-  config.energy = energy;
+  // Built in place: copying a local EnergyConfig into the optional trips a
+  // false -Werror=maybe-uninitialized in GCC 12's -O3.
+  config.energy.emplace();
+  config.energy->sleep_fraction = 0.4;
+  config.energy->duty_period = SimDuration::from_seconds(1.0);
 
   ScenarioOutcome outcome;
   verify_scenario("duty_cycle", config, outcome);

@@ -111,10 +111,19 @@ class TopicChainProperty
 
 TEST_P(TopicChainProperty, CoversIffAncestor) {
   const auto [i, j] = GetParam();
-  Topic a;
-  for (int k = 0; k < i; ++k) a = a.child("s" + std::to_string(k));
-  Topic b;
-  for (int k = 0; k < j; ++k) b = b.child("s" + std::to_string(k));
+  // Segment names are appended, not "s" + std::to_string(k): GCC 12's -O3
+  // raises a false -Werror=restrict on the prepending operator+.
+  const auto chain = [](int depth) {
+    Topic topic;
+    for (int k = 0; k < depth; ++k) {
+      std::string name = "s";
+      name += std::to_string(k);
+      topic = topic.child(name);
+    }
+    return topic;
+  };
+  const Topic a = chain(i);
+  const Topic b = chain(j);
   EXPECT_EQ(a.covers(b), i <= j);
   EXPECT_EQ(b.covers(a), j <= i);
 }
