@@ -258,7 +258,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
   // The outermost profile scope: everything not claimed by an inner scope
   // (scheduler tasks, medium work, telemetry folds, collection) lands here.
-  sim::ProfileScope run_profile{config.profiler, "experiment.orchestrate"};
+  sim::ProfileScope<"experiment.orchestrate"> run_profile{config.profiler};
 
   sim::Simulator simulator{config.seed};
   simulator.scheduler().set_profiler(config.profiler);
@@ -633,7 +633,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
   observers.end_run(run_end);
 
   // Collect results.
-  sim::ProfileScope collect_profile{config.profiler, "experiment.collect"};
+  sim::ProfileScope<"experiment.collect"> collect_profile{config.profiler};
   RunResult result;
   result.events = std::move(records);
   result.publisher = publisher;

@@ -135,7 +135,7 @@ void FrugalNode::send_heartbeat() {
 }
 
 void FrugalNode::on_heartbeat(const Heartbeat& heartbeat) {
-  sim::ProfileScope profile{scheduler_.profiler(), "frugal.heartbeat"};
+  sim::ProfileScope<"frugal.heartbeat"> profile{scheduler_.profiler()};
   const SimTime now = scheduler_.now();
 
   // Admission test: keep only neighbors we share interests with. Subscribers
@@ -215,7 +215,7 @@ void FrugalNode::advertise_events_to(
 }
 
 void FrugalNode::on_event_ids(const EventIdList& list) {
-  sim::ProfileScope profile{scheduler_.profiler(), "frugal.event_ids"};
+  sim::ProfileScope<"frugal.event_ids"> profile{scheduler_.profiler()};
   const SimTime now = scheduler_.now();
   if (!neighborhood_.contains(list.sender)) {
     // Not admitted (yet): the admitting heartbeat may simply not have
@@ -236,7 +236,7 @@ void FrugalNode::on_event_ids(const EventIdList& list) {
 // ---------------------------------------------------------------- Figure 7
 
 void FrugalNode::retrieve_events_to_send() {
-  sim::ProfileScope profile{scheduler_.profiler(), "frugal.retrieve"};
+  sim::ProfileScope<"frugal.retrieve"> profile{scheduler_.profiler()};
   const SimTime now = scheduler_.now();
   events_to_send_.clear();
   det::hash_set<EventId, EventIdHash> selected;
@@ -303,7 +303,7 @@ SimDuration FrugalNode::compute_bo_delay(std::size_t events_to_send) const {
 // ---------------------------------------------------------------- Figure 9
 
 void FrugalNode::on_backoff_expired() {
-  sim::ProfileScope profile{scheduler_.profiler(), "frugal.backoff_send"};
+  sim::ProfileScope<"frugal.backoff_send"> profile{scheduler_.profiler()};
   bo_delay_ = std::nullopt;
   backoff_.cancel();
 
@@ -390,7 +390,7 @@ void FrugalNode::publish(Event event) {
 }
 
 void FrugalNode::on_event_bundle(const EventBundle& bundle) {
-  sim::ProfileScope profile{scheduler_.profiler(), "frugal.bundle"};
+  sim::ProfileScope<"frugal.bundle"> profile{scheduler_.profiler()};
   const SimTime now = scheduler_.now();
   bool interested = false;
 
@@ -450,7 +450,7 @@ void FrugalNode::deliver(const Event& event) {
 // --------------------------------------------------------------- Figure 10
 
 void FrugalNode::run_neighborhood_gc() {
-  sim::ProfileScope profile{scheduler_.profiler(), "frugal.ngc"};
+  sim::ProfileScope<"frugal.ngc"> profile{scheduler_.profiler()};
   const SimTime now = scheduler_.now();
   neighborhood_.collect(now, ngc_delay_);
   if (prune_slack_.has_value()) metrics_.prune_deliveries(now, *prune_slack_);

@@ -94,7 +94,7 @@ std::vector<NodeId> Medium::nodes_in_range(NodeId node) const {
 
 std::uint64_t Medium::broadcast(NodeId sender, std::uint32_t size_bytes,
                                 std::any payload) {
-  sim::ProfileScope profile{scheduler_.profiler(), "medium.broadcast"};
+  sim::ProfileScope<"medium.broadcast"> profile{scheduler_.profiler()};
   FRUGAL_EXPECT(sender < clients_.size());
   FRUGAL_EXPECT(size_bytes > 0);
   // Every issued frame gets an id, even one dropped on the spot: the fate
@@ -155,7 +155,7 @@ SimTime Medium::sensed_busy_until(NodeId sender, SimTime at) const {
 void Medium::start_transmission(NodeId sender,
                                 const std::shared_ptr<Frame>& frame,
                                 int attempt) {
-  sim::ProfileScope profile{scheduler_.profiler(), "medium.transmission"};
+  sim::ProfileScope<"medium.transmission"> profile{scheduler_.profiler()};
   if (!up_[sender]) {  // crashed while the frame was queued
     counters_[sender].frames_dropped += 1;
     if (observer_ != nullptr) {

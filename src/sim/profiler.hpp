@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -36,14 +37,34 @@ class Profiler {
     return sections_;
   }
 
-  /// Index of `name`, creating the section on first use. Linear scan: the
-  /// section set is a handful of subsystem names.
-  [[nodiscard]] std::size_t section_index(std::string_view name) {
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-      if (sections_[i].first == name) return i;
+  /// Process-wide id of a section name: one per distinct name, stable for
+  /// the life of the process. Thread-safe; ProfileScope calls it once per
+  /// call site, not once per entry.
+  [[nodiscard]] static std::size_t intern(std::string_view name) {
+    const std::lock_guard<std::mutex> lock{names_mutex()};
+    std::vector<std::string>& all = names();
+    for (std::size_t id = 0; id < all.size(); ++id) {
+      if (all[id] == name) return id;
     }
-    sections_.emplace_back(std::string{name}, Section{});
-    return sections_.size() - 1;
+    all.emplace_back(name);
+    return all.size() - 1;
+  }
+
+  /// This profiler's section for the interned name `id`, created on first
+  /// use (so sections() keeps first-entry order).
+  [[nodiscard]] std::size_t section_of(std::size_t id) {
+    if (id >= section_of_id_.size()) section_of_id_.resize(id + 1, kNone);
+    if (section_of_id_[id] == kNone) {
+      section_of_id_[id] = sections_.size();
+      const std::lock_guard<std::mutex> lock{names_mutex()};
+      sections_.emplace_back(names()[id], Section{});
+    }
+    return section_of_id_[id];
+  }
+
+  /// Index of `name`, creating the section on first use.
+  [[nodiscard]] std::size_t section_index(std::string_view name) {
+    return section_of(intern(name));
   }
 
   void enter(std::size_t section) {
@@ -74,6 +95,7 @@ class Profiler {
 
  private:
   using Clock = std::chrono::steady_clock;
+  static constexpr std::size_t kNone = ~std::size_t{0};
   struct Active {
     std::size_t section;
     Clock::time_point since;
@@ -87,19 +109,46 @@ class Profiler {
     top.since = now;
   }
 
+  static std::vector<std::string>& names() {
+    static std::vector<std::string> all;
+    return all;
+  }
+  static std::mutex& names_mutex() {
+    static std::mutex mutex;
+    return mutex;
+  }
+
   std::vector<std::pair<std::string, Section>> sections_;
+  /// sections_ index by interned name id (kNone: not entered yet).
+  std::vector<std::size_t> section_of_id_;
   std::vector<Active> stack_;
 };
 
-/// RAII section scope; a null profiler makes it a no-op.
+/// A section name usable as a template argument (a string literal).
+template <std::size_t N>
+struct SectionName {
+  // Implicit on purpose: ProfileScope<"name"> converts the literal.
+  consteval SectionName(const char (&name)[N]) {
+    for (std::size_t i = 0; i < N; ++i) chars[i] = name[i];
+  }
+  [[nodiscard]] std::string_view view() const { return {chars, N - 1}; }
+  char chars[N] = {};
+};
+
+/// RAII section scope; a null profiler makes it a no-op. The section is a
+/// template argument, so each call site resolves its name once:
+///   sim::ProfileScope<"frugal.heartbeat"> profile{scheduler_.profiler()};
+template <SectionName Name>
 class ProfileScope {
  public:
-  ProfileScope(Profiler* profiler, std::string_view name)
-      : profiler_{profiler} {
-    if (profiler_) profiler_->enter(profiler_->section_index(name));
+  explicit ProfileScope(Profiler* profiler) : profiler_{profiler} {
+    if (profiler_ != nullptr) {
+      static const std::size_t id = Profiler::intern(Name.view());
+      profiler_->enter(profiler_->section_of(id));
+    }
   }
   ~ProfileScope() {
-    if (profiler_) profiler_->exit();
+    if (profiler_ != nullptr) profiler_->exit();
   }
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;

@@ -108,7 +108,7 @@ class Scheduler {
       now_ = entry.when;
       ++executed_;
       {
-        ProfileScope scope{profiler_, "scheduler.task"};
+        ProfileScope<"scheduler.task"> scope{profiler_};
         entry.fn();
       }
       return true;

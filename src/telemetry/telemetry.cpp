@@ -109,7 +109,7 @@ void RunTelemetry::on_publish(std::size_t index, const core::Event& event,
   FRUGAL_EXPECT(began_ && !ended_);
   const core::EventId id = event.id;
   const SimTime at = event.published_at;
-  sim::ProfileScope scope{binding_.profiler, "telemetry.ingest"};
+  sim::ProfileScope<"telemetry.ingest"> scope{binding_.profiler};
   advance_stream(at);
   FRUGAL_EXPECT(index == published_count_);
   FRUGAL_EXPECT(event_index_of(id) == index);
@@ -126,7 +126,7 @@ void RunTelemetry::on_publish(std::size_t index, const core::Event& event,
 void RunTelemetry::on_delivery(NodeId node, const core::Event& event,
                                SimTime at) {
   FRUGAL_EXPECT(began_ && !ended_);
-  sim::ProfileScope scope{binding_.profiler, "telemetry.ingest"};
+  sim::ProfileScope<"telemetry.ingest"> scope{binding_.profiler};
   advance_stream(at);
 
   const std::int64_t latency_us = (at - event.published_at).us();
@@ -157,7 +157,7 @@ void RunTelemetry::on_gc_eviction(NodeId node, core::EventId victim,
                                   SimTime at) {
   static_cast<void>(victim);
   FRUGAL_EXPECT(began_ && !ended_);
-  sim::ProfileScope scope{binding_.profiler, "telemetry.ingest"};
+  sim::ProfileScope<"telemetry.ingest"> scope{binding_.profiler};
   advance_stream(at);
   graph_.feed(win_gc_, at, 1.0);
   if (perfetto_) perfetto_->instant(node, "gc", "table", at);
@@ -165,7 +165,7 @@ void RunTelemetry::on_gc_eviction(NodeId node, core::EventId victim,
 
 void RunTelemetry::on_tx(NodeId sender, SimTime start, SimTime end) {
   FRUGAL_EXPECT(began_ && !ended_);
-  sim::ProfileScope scope{binding_.profiler, "telemetry.ingest"};
+  sim::ProfileScope<"telemetry.ingest"> scope{binding_.profiler};
   advance_stream(start);
   graph_.feed(win_tx_, start, 1.0);
   if (perfetto_) perfetto_->span(sender, "tx", "radio", start, end);
@@ -173,14 +173,14 @@ void RunTelemetry::on_tx(NodeId sender, SimTime start, SimTime end) {
 
 void RunTelemetry::on_rx(NodeId receiver, SimTime start, SimTime end) {
   FRUGAL_EXPECT(began_ && !ended_);
-  sim::ProfileScope scope{binding_.profiler, "telemetry.ingest"};
+  sim::ProfileScope<"telemetry.ingest"> scope{binding_.profiler};
   advance_stream(start);
   if (perfetto_) perfetto_->span(receiver, "rx", "radio", start, end);
 }
 
 void RunTelemetry::on_up_changed(NodeId node, bool up, SimTime at) {
   FRUGAL_EXPECT(began_ && !ended_);
-  sim::ProfileScope scope{binding_.profiler, "telemetry.ingest"};
+  sim::ProfileScope<"telemetry.ingest"> scope{binding_.profiler};
   advance_stream(at);
   if (up) {
     ++up_count_;
@@ -201,7 +201,7 @@ void RunTelemetry::on_up_changed(NodeId node, bool up, SimTime at) {
 
 void RunTelemetry::on_sleep_changed(NodeId node, bool sleeping, SimTime at) {
   FRUGAL_EXPECT(began_ && !ended_);
-  sim::ProfileScope scope{binding_.profiler, "telemetry.ingest"};
+  sim::ProfileScope<"telemetry.ingest"> scope{binding_.profiler};
   advance_stream(at);
   if (perfetto_) {
     if (sleeping) {
@@ -262,7 +262,7 @@ void RunTelemetry::retire_probes_before(SimTime t) {
 }
 
 void RunTelemetry::flush_window(SimTime window_end) {
-  sim::ProfileScope scope{binding_.profiler, "telemetry.flush"};
+  sim::ProfileScope<"telemetry.flush"> scope{binding_.profiler};
   const bool have_rel = window_rel_count_ > 0;
   const double reliability =
       have_rel
@@ -346,7 +346,7 @@ void RunTelemetry::write_series_row(SimTime window_end, double reliability,
 
 void RunTelemetry::end_run(SimTime run_end) {
   FRUGAL_EXPECT(began_ && !ended_);
-  sim::ProfileScope scope{binding_.profiler, "telemetry.flush"};
+  sim::ProfileScope<"telemetry.flush"> scope{binding_.profiler};
   advance_stream(run_end);
   // Deadlines at or past the run horizon never see another delivery (the
   // simulation has drained), so every outstanding fold finalizes now with
