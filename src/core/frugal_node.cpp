@@ -409,15 +409,15 @@ void FrugalNode::on_event_bundle(const EventBundle& bundle) {
       metrics_.duplicates += 1;
       continue;
     }
-    const std::optional<EventId> victim = store(event, now);
-    if (victim.has_value() && *victim == event.id) {
-      // The full table rejected the newcomer (it is the worst GC candidate,
-      // e.g. expired on arrival). It cannot be relayed from here, so leave
-      // the pending back-off alone — repeated receipts of such an event
-      // must not keep deferring a pending transmission.
-      deliver(event);
-      continue;
-    }
+    // Its validity ran out while the frame was on air: of no use to the
+    // application, and not to be relayed. Skipping it also leaves a pending
+    // back-off alone, so repeated receipts of a stale copy cannot keep
+    // deferring a transmission.
+    if (!event.valid_at(now)) continue;
+    // A valid newcomer is never the GC victim (EventTable collects it only
+    // when strictly worse than every stored event, i.e. expired), so the
+    // event is stored and can be relayed from here.
+    store(event, now);
     interested = true;
     // A relevant event arrived: cancel the pending back-off; the send set is
     // recomputed below via RETRIEVEEVENTSTOSEND (Fig. 9 line 22).
@@ -429,13 +429,12 @@ void FrugalNode::on_event_bundle(const EventBundle& bundle) {
   if (interested) retrieve_events_to_send();
 }
 
-std::optional<EventId> FrugalNode::store(const Event& event, SimTime now) {
+void FrugalNode::store(const Event& event, SimTime now) {
   const std::optional<EventId> victim = events_.insert(event, now);
   if (victim.has_value()) {
     ++metrics_.gc_evictions;
     if (observer_ != nullptr) observer_->on_gc_eviction(id_, *victim, now);
   }
-  return victim;
 }
 
 void FrugalNode::deliver(const Event& event) {

@@ -136,8 +136,8 @@ class FrugalNode final : public ProtocolNode {
   void run_neighborhood_gc();
   void deliver(const Event& event);
   /// Stores `event`, counting (and reporting) the GC collection a full
-  /// table forces; returns the evicted or rejected event's id, if any.
-  std::optional<EventId> store(const Event& event, SimTime now);
+  /// table forces.
+  void store(const Event& event, SimTime now);
   /// Broadcasts `message` and returns the medium frame id (for annotation).
   std::uint64_t broadcast(Message message);
   void send_bundle(std::vector<Event> events, DisseminationPhase phase);

@@ -166,10 +166,10 @@ TEST(FrugalNodeTest, UnsubscribeCancelsArmedBackoff) {
 }
 
 TEST(FrugalNodeTest, RejectedNewcomerDoesNotDisturbPendingSend) {
-  // Under memory pressure the GC rejects an incoming event that is the
-  // strictly worst candidate (expired on arrival). Such an event is
-  // delivered but not stored — and its receipt must NOT cancel an armed
-  // back-off: repeated receipts of a rejected event would otherwise defer a
+  // Under memory pressure the GC would reject an incoming event that is
+  // the strictly worst candidate (expired on arrival). Such an event is
+  // neither delivered nor stored — and its receipt must NOT cancel an armed
+  // back-off: repeated receipts of a stale copy would otherwise defer a
   // pending transmission indefinitely.
   FrugalConfig config = World::fast();
   config.event_table_capacity = 1;
@@ -206,12 +206,11 @@ TEST(FrugalNodeTest, RejectedNewcomerDoesNotDisturbPendingSend) {
   ASSERT_TRUE(w.node(0).backoff_pending());
 
   // Event B was published at t=0 with a 1 s validity: expired on arrival,
-  // it loses victim selection against the valid stored A — delivered, not
-  // stored, back-off untouched.
+  // it is dropped — not delivered, not stored, back-off untouched.
   inject(EventId{1, 0}, ".a.y", SimTime::zero(), 1.0);
   w.run_for(50_ms);
   EXPECT_TRUE(w.node(0).backoff_pending());
-  EXPECT_EQ(w.node(0).metrics().deliveries.count(EventId{1, 0}), 1u);
+  EXPECT_EQ(w.node(0).metrics().deliveries.count(EventId{1, 0}), 0u);
   EXPECT_TRUE(w.node(0).events().contains(EventId{2, 5}));
   EXPECT_FALSE(w.node(0).events().contains(EventId{1, 0}));
 
@@ -369,6 +368,34 @@ TEST(FrugalNodeTest, ExpiredEventIsNotDisseminated) {
   w.mobility.move_node(1, {50, 0});
   w.run_for(10_sec);
   EXPECT_TRUE(w.node(1).metrics().deliveries.empty());
+}
+
+// A bundle whose event expired while the frame was on air: neither stored
+// nor delivered, also when a full table would have rejected the newcomer.
+TEST(FrugalNodeTest, EventExpiredInFlightIsNotDelivered) {
+  for (const std::size_t capacity : {std::size_t{4096}, std::size_t{1}}) {
+    FrugalConfig config = World::fast();
+    config.event_table_capacity = capacity;
+    World w{{{0, 0}, {50, 0}}, config};
+    w.node(1).subscribe(Topic::parse(".a"));
+    w.node(0).subscribe(Topic::parse(".a"));
+    w.node(0).publish(w.make_event(".a.x"));  // fills node 1's table
+    w.run_for(10_sec);
+    ASSERT_EQ(w.node(1).metrics().deliveries.size(), 1u);
+
+    Event expired = w.make_event(".a.y", /*validity_s=*/5.0);
+    expired.id = EventId{0, 7};
+    expired.published_at = SimTime::zero();  // expired at 5 s, now is 10 s
+    EventBundle bundle;
+    bundle.sender = 0;
+    bundle.events = {expired};
+    w.node(1).on_frame(net::Frame{
+        0, 100, std::make_shared<const Message>(Message{std::move(bundle)}),
+        0});
+    EXPECT_FALSE(w.node(1).metrics().delivered(expired.id)) << capacity;
+    EXPECT_FALSE(w.node(1).events().contains(expired.id)) << capacity;
+    EXPECT_EQ(w.node(1).metrics().gc_evictions, 0u) << capacity;
+  }
 }
 
 TEST(FrugalNodeTest, DeliveryCallbackFires) {
