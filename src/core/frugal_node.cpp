@@ -375,7 +375,7 @@ void FrugalNode::publish(Event event) {
 
   store(event, now);
   if (interested) events_.increment_forward_count(event.id);
-  deliver(event);
+  if (subscriptions_.covers(event.topic)) deliver(event);
 
   // Fig. 9 lines 50-52: a publisher keeps its neighborhood table collected
   // even when it never subscribed (and thus never started the tasks).

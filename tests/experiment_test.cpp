@@ -288,6 +288,8 @@ TEST(ExperimentTest, NonSubscribedPublisherStillDisseminates) {
   config.publisher = outsider;
   const RunResult result = run_experiment(config);
   EXPECT_GT(result.reliability(), 0.2);
+  // Its own event is off-topic for it: no delivery to the publisher.
+  EXPECT_FALSE(result.nodes[outsider].delivered_at[0].has_value());
 }
 
 TEST(ExperimentTest, MultipleEventsAllTracked) {

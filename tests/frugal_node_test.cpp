@@ -398,6 +398,18 @@ TEST(FrugalNodeTest, EventExpiredInFlightIsNotDelivered) {
   }
 }
 
+TEST(FrugalNodeTest, PublisherDeliversOnlyEventsOfItsOwnTopics) {
+  World w{{{0, 0}, {50, 0}}};
+  w.node(0).subscribe(Topic::parse(".b"));
+  w.node(1).subscribe(Topic::parse(".a"));
+  w.node(0).publish(w.make_event(".a.x"));  // off-topic for its publisher
+  w.node(1).publish(w.make_event(".a.y"));  // on-topic for its publisher
+  w.run_for(5_sec);
+  EXPECT_FALSE(w.node(0).metrics().delivered(EventId{0, 0}));
+  EXPECT_TRUE(w.node(1).metrics().delivered(EventId{0, 0}));
+  EXPECT_TRUE(w.node(1).metrics().delivered(EventId{1, 0}));
+}
+
 TEST(FrugalNodeTest, DeliveryCallbackFires) {
   World w{{{0, 0}, {50, 0}}};
   w.node(0).subscribe(Topic::parse(".a"));
