@@ -333,15 +333,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // flows land before the hub finalizes the trace. An empty list attaches
   // nothing, leaving the hot paths observer-free.
   telemetry::DisseminationTracer* const tracer = config.dissem_tracer;
-  std::vector<RunObserver*> attached;
-  for (RunObserver* candidate :
-       {static_cast<RunObserver*>(energy_model.get()),
-        static_cast<RunObserver*>(telemetry),
-        static_cast<RunObserver*>(tracer),
-        static_cast<RunObserver*>(config.trace)}) {
-    if (candidate != nullptr) attached.push_back(candidate);
-  }
-  ObserverFanOut observers{std::move(attached)};
+  ObserverFanOut observers{{energy_model.get(), telemetry, tracer,
+                            config.trace}};
   RunObserver* const observer = observers.empty() ? nullptr : &observers;
   medium.set_observer(observer);
 

@@ -11,9 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 
 #include "core/event_table.hpp"
 #include "core/messages.hpp"
@@ -58,9 +56,6 @@ class FloodingNode final : public ProtocolNode {
   [[nodiscard]] const DeliveryMetrics& metrics() const override {
     return metrics_;
   }
-  void enable_delivery_history_pruning(SimDuration slack) override {
-    prune_slack_ = slack;
-  }
 
   [[nodiscard]] const topics::SubscriptionSet& subscriptions() const {
     return subscriptions_;
@@ -95,7 +90,6 @@ class FloodingNode final : public ProtocolNode {
   std::unique_ptr<sim::PeriodicTask> heartbeat_;
 
   DeliveryMetrics metrics_;
-  std::optional<SimDuration> prune_slack_;
   std::uint32_t next_seq_ = 0;
 };
 

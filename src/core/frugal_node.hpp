@@ -86,9 +86,6 @@ class FrugalNode final : public ProtocolNode {
   [[nodiscard]] const DeliveryMetrics& metrics() const override {
     return metrics_;
   }
-  void enable_delivery_history_pruning(SimDuration slack) override {
-    prune_slack_ = slack;
-  }
 
   // -- Introspection (tests, examples) --------------------------------------
   [[nodiscard]] const topics::SubscriptionSet& subscriptions() const {
@@ -175,7 +172,6 @@ class FrugalNode final : public ProtocolNode {
   sim::TaskHandle pending_retrieve_;
 
   DeliveryMetrics metrics_;
-  std::optional<SimDuration> prune_slack_;
   std::uint32_t next_seq_ = 0;
 
   friend class FrugalNodeTestPeer;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/event.hpp"
@@ -84,7 +85,7 @@ class ProtocolNode : public net::MediumClient {
   /// `slack` ago during its periodic housekeeping. Only bounded-memory
   /// telemetry runs enable this — materialized runs read the full map.
   virtual void enable_delivery_history_pruning(SimDuration slack) {
-    static_cast<void>(slack);
+    prune_slack_ = slack;
   }
 
  protected:
@@ -105,6 +106,7 @@ class ProtocolNode : public net::MediumClient {
   }
 
   RunObserver* observer_ = nullptr;
+  std::optional<SimDuration> prune_slack_;  ///< set when pruning is enabled
 };
 
 }  // namespace frugal::core

@@ -97,11 +97,14 @@ class RunObserver : public net::MediumObserver {
 
 /// Forwards every callback to a fixed list of observers in list order;
 /// end_run goes in reverse order, so an observer that writes into another's
-/// artifact (the tracer into the hub's Perfetto trace) drains first.
+/// artifact (the tracer into the hub's Perfetto trace) drains first. Null
+/// entries are dropped.
 class ObserverFanOut final : public RunObserver {
  public:
   explicit ObserverFanOut(std::vector<RunObserver*> observers)
-      : observers_{std::move(observers)} {}
+      : observers_{std::move(observers)} {
+    std::erase(observers_, nullptr);
+  }
 
   [[nodiscard]] bool empty() const { return observers_.empty(); }
 

@@ -173,9 +173,7 @@ void Medium::start_transmission(NodeId sender,
   if (free_at > now) {
     if (attempt >= config_.max_defers) {
       counters_[sender].frames_dropped += 1;
-      if (observer_ != nullptr) {
-        observer_->on_frame_dropped(*frame, now);
-      }
+      if (observer_ != nullptr) observer_->on_frame_dropped(*frame, now);
       return;
     }
     // Contention window grows with the attempt number (DCF stand-in).
@@ -243,8 +241,7 @@ void Medium::offer_to_receiver(NodeId receiver,
   if (config_.enable_collisions && tx_busy_until_[receiver] > now) {
     counters_[receiver].frames_missed_busy += 1;
     if (observer_ != nullptr) {
-      observer_->on_frame_missed(*frame, receiver,
-                                       FrameLossReason::kBusy, now);
+      observer_->on_frame_missed(*frame, receiver, FrameLossReason::kBusy, now);
     }
     return;
   }
@@ -253,8 +250,8 @@ void Medium::offer_to_receiver(NodeId receiver,
   if (sleeping_[receiver]) {
     counters_[receiver].frames_missed_asleep += 1;
     if (observer_ != nullptr) {
-      observer_->on_frame_missed(*frame, receiver,
-                                       FrameLossReason::kAsleep, now);
+      observer_->on_frame_missed(*frame, receiver, FrameLossReason::kAsleep,
+                                 now);
     }
     return;
   }

@@ -14,8 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 
 #include "core/event_table.hpp"
 #include "core/messages.hpp"
@@ -53,9 +51,6 @@ class GossipNode final : public core::ProtocolNode {
   [[nodiscard]] const core::DeliveryMetrics& metrics() const override {
     return metrics_;
   }
-  void enable_delivery_history_pruning(SimDuration slack) override {
-    prune_slack_ = slack;
-  }
 
   [[nodiscard]] const topics::SubscriptionSet& subscriptions() const {
     return subscriptions_;
@@ -83,7 +78,6 @@ class GossipNode final : public core::ProtocolNode {
   sim::PeriodicTask ticker_;
 
   core::DeliveryMetrics metrics_;
-  std::optional<SimDuration> prune_slack_;
   std::uint32_t next_seq_ = 0;
 };
 

@@ -12,6 +12,7 @@
 // (one per sweep job); per-job profilers are merged serially afterwards.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -41,13 +42,12 @@ class Profiler {
   /// the life of the process. Thread-safe; ProfileScope calls it once per
   /// call site, not once per entry.
   [[nodiscard]] static std::size_t intern(std::string_view name) {
-    const std::lock_guard<std::mutex> lock{names_mutex()};
-    std::vector<std::string>& all = names();
-    for (std::size_t id = 0; id < all.size(); ++id) {
-      if (all[id] == name) return id;
+    const std::lock_guard<std::mutex> lock{names_mutex_};
+    for (std::size_t id = 0; id < names_.size(); ++id) {
+      if (names_[id] == name) return id;
     }
-    all.emplace_back(name);
-    return all.size() - 1;
+    names_.emplace_back(name);
+    return names_.size() - 1;
   }
 
   /// This profiler's section for the interned name `id`, created on first
@@ -56,8 +56,8 @@ class Profiler {
     if (id >= section_of_id_.size()) section_of_id_.resize(id + 1, kNone);
     if (section_of_id_[id] == kNone) {
       section_of_id_[id] = sections_.size();
-      const std::lock_guard<std::mutex> lock{names_mutex()};
-      sections_.emplace_back(names()[id], Section{});
+      const std::lock_guard<std::mutex> lock{names_mutex_};
+      sections_.emplace_back(names_[id], Section{});
     }
     return section_of_id_[id];
   }
@@ -109,14 +109,9 @@ class Profiler {
     top.since = now;
   }
 
-  static std::vector<std::string>& names() {
-    static std::vector<std::string> all;
-    return all;
-  }
-  static std::mutex& names_mutex() {
-    static std::mutex mutex;
-    return mutex;
-  }
+  /// Interned section names, by id; shared by every profiler.
+  static inline std::vector<std::string> names_;
+  static inline std::mutex names_mutex_;
 
   std::vector<std::pair<std::string, Section>> sections_;
   /// sections_ index by interned name id (kNone: not entered yet).
@@ -128,9 +123,7 @@ class Profiler {
 template <std::size_t N>
 struct SectionName {
   // Implicit on purpose: ProfileScope<"name"> converts the literal.
-  consteval SectionName(const char (&name)[N]) {
-    for (std::size_t i = 0; i < N; ++i) chars[i] = name[i];
-  }
+  consteval SectionName(const char (&name)[N]) { std::copy_n(name, N, chars); }
   [[nodiscard]] std::string_view view() const { return {chars, N - 1}; }
   char chars[N] = {};
 };

@@ -81,11 +81,9 @@ void DisseminationTracer::begin_run(const core::RunBinding& binding) {
   }
 }
 
-void DisseminationTracer::on_publish(std::size_t index,
+void DisseminationTracer::on_publish(std::size_t /*index*/,
                                      const core::Event& event,
-                                     std::uint32_t topic_index) {
-  static_cast<void>(index);
-  static_cast<void>(topic_index);
+                                     std::uint32_t /*topic_index*/) {
   FRUGAL_EXPECT(began_ && !ended_);
   const SimTime at = event.published_at;
   advance_stream(at);

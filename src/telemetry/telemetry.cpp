@@ -153,9 +153,8 @@ void RunTelemetry::on_delivery(NodeId node, const core::Event& event,
   if (perfetto_) perfetto_->instant(node, "deliver", "app", at);
 }
 
-void RunTelemetry::on_gc_eviction(NodeId node, core::EventId victim,
+void RunTelemetry::on_gc_eviction(NodeId node, core::EventId /*victim*/,
                                   SimTime at) {
-  static_cast<void>(victim);
   FRUGAL_EXPECT(began_ && !ended_);
   sim::ProfileScope<"telemetry.ingest"> scope{binding_.profiler};
   advance_stream(at);

@@ -33,15 +33,13 @@ std::vector<TraceRecord> TraceRecorder::filter(TraceKind kind) const {
   return out;
 }
 
-void TraceRecorder::begin_run(const core::RunBinding& binding) {
-  static_cast<void>(binding);
+void TraceRecorder::begin_run(const core::RunBinding& /*binding*/) {
   run_begin_ = records_.size();
   index_of_.clear();
 }
 
 void TraceRecorder::on_publish(std::size_t index, const core::Event& event,
-                               std::uint32_t topic_index) {
-  static_cast<void>(topic_index);
+                               std::uint32_t /*topic_index*/) {
   index_of_[event.id] = index;
   publish(event.published_at, event.id.publisher, event.id);
 }
@@ -59,8 +57,7 @@ void TraceRecorder::on_up_changed(NodeId node, bool up, SimTime at) {
   }
 }
 
-void TraceRecorder::end_run(SimTime run_end) {
-  static_cast<void>(run_end);
+void TraceRecorder::end_run(SimTime /*run_end*/) {
   const auto key = [this](const TraceRecord& record) {
     std::size_t index = 0;
     if (record.event.has_value()) {
