@@ -14,10 +14,10 @@
 // The tracer is a core::RunObserver. Its inputs are the medium's frame-fate
 // callbacks (keyed by stable frame ids), the protocol nodes' annotate calls
 // (what each event-carrying or advert frame means) and the run's publish,
-// delivery, GC and up/down streams. The tracer NEVER
-// schedules tasks, draws RNG, or mutates simulation state: attaching it is
-// provably perturbation-free (goldens and sweep CSVs byte-identical with
-// tracing on and off).
+// delivery, GC and up/down streams. The tracer NEVER schedules tasks, draws
+// RNG, or mutates simulation state: attaching it is provably
+// perturbation-free (goldens and sweep CSVs byte-identical with tracing on
+// and off).
 //
 // From the DAG it derives per-run metrics through the PR 7 operator graph:
 // hop-count distribution (KLL sketch), redundancy ratio (intact receptions

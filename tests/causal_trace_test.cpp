@@ -874,11 +874,14 @@ TEST(CausalTraceTest, DutyCycleYieldsMissedAsleepEdges) {
   config.event_count = 2;
   config.seed = 37;
   config.mobility = core::StaticSetup{1200.0, 1200.0};
-  // Built in place: copying a local EnergyConfig into the optional trips a
-  // false -Werror=maybe-uninitialized in GCC 12's -O3.
-  config.energy.emplace();
-  config.energy->sleep_fraction = 0.4;
-  config.energy->duty_period = SimDuration::from_seconds(1.0);
+  energy::EnergyConfig energy;
+  energy.sleep_fraction = 0.4;
+  energy.duty_period = SimDuration::from_seconds(1.0);
+  // Every node unlimited, spelled per node: with the per-node list left
+  // empty, GCC 12 at -O3 reports the copy into the optional as
+  // -Werror=maybe-uninitialized.
+  energy.battery_capacity_per_node_j.assign(config.node_count, 0.0);
+  config.energy = energy;
 
   ScenarioOutcome outcome;
   verify_scenario("duty_cycle", config, outcome);
